@@ -9,37 +9,20 @@
 //! allocation/clone and returned on drop, so a steady-state simulation
 //! world performs (almost) no allocator traffic per packet.
 //!
-//! Worlds are single-threaded (parallelism is across experiment worlds, one
-//! per worker thread), so a plain `thread_local!` free list needs no
-//! locking.  [`stats`] exposes hit/miss counters per thread so the
-//! optimization is provable — the benchmark harness records them per
-//! experiment in `BENCH.json`.  [`set_pooling`]`(false)` degrades to the
-//! plain allocator, which the hot-path A/B benchmark uses to measure the
-//! seed behavior.
+//! A device is only ever driven by one thread at a time — the world's
+//! thread, or the thread of the engine that owns it in a partitioned run —
+//! so a plain `thread_local!` free list needs no locking; a buffer retired
+//! on another thread than it was drawn on simply joins that thread's pool.
+//! [`stats`] exposes hit/miss counters per thread so the optimization is
+//! provable — the benchmark harness records them per experiment in
+//! `BENCH.json`.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Upper bound on pooled buffers per thread; beyond it, retired buffers
 /// fall back to the allocator (a world in teardown releases thousands at
 /// once and the next world rarely needs them all).
 const POOL_CAP: usize = 8192;
-
-/// Global switch: when `false`, acquire/release degrade to plain
-/// allocation (the pre-arena behavior), for A/B measurements.
-static POOLING: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables buffer pooling process-wide.  Only meant for
-/// controlled A/B benchmarks; flip it while worlds are live and buffers
-/// simply stop being recycled (correctness is unaffected).
-pub fn set_pooling(enabled: bool) {
-    POOLING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether pooling is currently enabled.
-pub fn pooling() -> bool {
-    POOLING.load(Ordering::Relaxed)
-}
 
 /// Allocation counters of the calling thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,13 +44,11 @@ thread_local! {
 
 /// A zeroed buffer of exactly `len` slots, recycled when possible.
 pub(crate) fn acquire(len: usize) -> Vec<u64> {
-    if pooling() {
-        if let Some(mut v) = POOL.with(|p| p.borrow_mut().pop()) {
-            REUSES.with(|c| c.set(c.get() + 1));
-            v.clear();
-            v.resize(len, 0);
-            return v;
-        }
+    if let Some(mut v) = POOL.with(|p| p.borrow_mut().pop()) {
+        REUSES.with(|c| c.set(c.get() + 1));
+        v.clear();
+        v.resize(len, 0);
+        return v;
     }
     ALLOCS.with(|c| c.set(c.get() + 1));
     vec![0; len]
@@ -76,13 +57,11 @@ pub(crate) fn acquire(len: usize) -> Vec<u64> {
 /// A recycled buffer holding a copy of `src` (the clone path — skips the
 /// zero fill [`acquire`] pays).
 pub(crate) fn acquire_copy(src: &[u64]) -> Vec<u64> {
-    if pooling() {
-        if let Some(mut v) = POOL.with(|p| p.borrow_mut().pop()) {
-            REUSES.with(|c| c.set(c.get() + 1));
-            v.clear();
-            v.extend_from_slice(src);
-            return v;
-        }
+    if let Some(mut v) = POOL.with(|p| p.borrow_mut().pop()) {
+        REUSES.with(|c| c.set(c.get() + 1));
+        v.clear();
+        v.extend_from_slice(src);
+        return v;
     }
     ALLOCS.with(|c| c.set(c.get() + 1));
     src.to_vec()
@@ -90,7 +69,7 @@ pub(crate) fn acquire_copy(src: &[u64]) -> Vec<u64> {
 
 /// Retires a buffer into the calling thread's free list.
 pub(crate) fn release(v: Vec<u64>) {
-    if v.capacity() == 0 || !pooling() {
+    if v.capacity() == 0 {
         return;
     }
     POOL.with(|p| {

@@ -23,7 +23,8 @@
 //! * [`tm`] — multicast group table.
 //! * [`mac`] — port MACs with line-rate serialization.
 //! * [`switch`] — the switch device.
-//! * [`sim`] — event queue, world, links with fault injection.
+//! * [`sim`] — world, devices, links with fault injection.
+//! * `evloop` (private) — the one event loop: queue, batching, flush.
 //! * [`parallel`] — partitioned engines under conservative lookahead.
 //! * [`timerwheel`] — hierarchical timer wheel backing the event queue.
 //! * [`arena`] — thread-local buffer pooling for per-packet allocations.
@@ -36,6 +37,7 @@
 pub mod action;
 pub mod arena;
 pub mod digest;
+mod evloop;
 pub mod exec;
 pub mod fingerprint;
 pub mod fxhash;
@@ -60,8 +62,7 @@ pub use exec::ExecMode;
 pub use packet::SimPacket;
 pub use phv::{fields, FieldId, FieldTable, Phv};
 pub use sim::{
-    Device, DeviceId, LinkSpec, Outbox, QueueKind, SimThreads, World, WorldBuilder,
-    WorldConfigError,
+    Device, DeviceId, LinkSpec, Outbox, SimThreads, World, WorldBuilder, WorldConfigError,
 };
 pub use switch::Switch;
 pub use time::SimTime;

@@ -21,6 +21,13 @@
 //! construction); a sender facing a full channel drains its own inboxes
 //! while it waits, so a cycle of full channels cannot deadlock.
 //!
+//! Each engine is an `EventLoop` (the private `evloop` module) — the same
+//! pop → window → dispatch → flush code the serial world runs — so "process
+//! to horizon" is `step_batch(u64::MAX, horizon)` in a loop and engines
+//! batch same-instant bursts and lookahead windows exactly as a serial run
+//! does.  This module adds only the protocol around that loop; it never
+//! pops an event for dispatch or assigns an event key itself.
+//!
 //! Determinism: the event key ([`crate::sim::EvKey`]) is a pure
 //! function of each device's behavior, never of engine interleaving, so
 //! the partitioned pop order per device group equals the serial order and
@@ -33,13 +40,10 @@
 //! global event order; one resulting group, one granted thread, or an
 //! empty horizon likewise fall back to the serial loop.
 
-use crate::packet::SimPacket;
-use crate::sim::{
-    Device, DeviceId, EvKey, EventKind, EventQueue, Outbox, SimThreads, TraceEntry, World,
-    WorldStats,
-};
+use crate::evloop::{EventLoop, Scheduled};
+use crate::sim::{metrics, SimThreads};
 use crate::time::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -96,163 +100,67 @@ pub mod budget {
 /// the channel at capacity waits (draining its own inboxes) until the
 /// receiver catches up.
 const CHAN_CAP: usize = 1 << 16;
-/// Sends buffered per target before a mid-processing flush.
+/// Sends buffered per target before they are published mid-horizon.
 const FLUSH_BATCH: usize = 256;
-
-/// A packet delivery crossing engines.  The key travels with the event,
-/// so the receiver's queue reproduces the serial pop order.
-struct Msg {
-    at: SimTime,
-    key: EvKey,
-    device: DeviceId,
-    port: u16,
-    pkt: SimPacket,
-}
 
 /// Read-mostly state shared by all engines of one partitioned run.
 struct Shared {
     /// Committed time per engine: everything `≤ commits[e]` is processed
     /// and flushed.  `u64::MAX` once the engine exits.
     commits: Vec<AtomicU64>,
-    /// `chan[to][from]`: single-producer single-consumer message queues.
-    chan: Vec<Vec<Mutex<VecDeque<Msg>>>>,
+    /// `chan[to][from]`: single-producer single-consumer queues of
+    /// deliveries crossing engines.  The key travels with the event, so
+    /// the receiver's queue reproduces the serial pop order.
+    chan: Vec<Vec<Mutex<VecDeque<Scheduled>>>>,
     /// `in_delay[to][from]`: minimum delay of any link from engine `from`
     /// into engine `to`; `SimTime::MAX` when no such link exists.
     in_delay: Vec<Vec<SimTime>>,
     t_end: SimTime,
 }
 
-/// A link as seen by the engine owning its source device.
-struct LocalLink {
-    peer: (DeviceId, u16),
-    delay: SimTime,
-    /// Engine owning the receiving device.
-    target: u32,
-}
-
-/// One event engine: a subset of the world's devices plus their queue.
-struct Engine {
-    id: usize,
-    /// Full-length device table; only slots this engine owns are `Some`.
-    devices: Vec<Option<Box<dyn Device>>>,
-    /// Full-length counter table; only owned slots are meaningful.
-    ctrs: Vec<u64>,
-    links: HashMap<(DeviceId, u16), LocalLink>,
-    queue: EventQueue,
-    scratch: Outbox,
-    now: SimTime,
-    stats: WorldStats,
-    /// Outgoing messages buffered per target engine.
-    out: Vec<Vec<Msg>>,
-    trace: Vec<TraceEntry>,
-    trace_depth: usize,
-}
-
-impl Engine {
-    /// Moves every pending inbox message into the local queue.  Returns
-    /// whether anything arrived.
-    fn drain_inboxes(&mut self, sh: &Shared) -> bool {
-        let mut any = false;
-        for from in 0..sh.chan.len() {
-            if from == self.id || sh.in_delay[self.id][from] == SimTime::MAX {
-                continue;
-            }
-            let mut ch = sh.chan[self.id][from].lock().unwrap();
-            while let Some(m) = ch.pop_front() {
-                self.queue.push(
-                    m.at,
-                    m.key,
-                    EventKind::Deliver { device: m.device, port: m.port, pkt: m.pkt },
-                );
-                any = true;
-            }
-        }
-        any
+impl Shared {
+    fn channel(&self, to: usize, from: usize) -> std::sync::MutexGuard<'_, VecDeque<Scheduled>> {
+        self.chan[to][from].lock().expect("an engine panicked holding a channel")
     }
+}
 
-    /// Appends the buffered sends for `target` to its channel, waiting
-    /// (and draining our own inboxes, to stay deadlock-free) while the
-    /// channel is at capacity.
-    fn flush_to(&mut self, sh: &Shared, target: usize) {
+/// Moves every pending inbox message into the engine's queue.  Returns
+/// whether anything arrived.
+fn drain_inboxes(e: &mut EventLoop, sh: &Shared) -> bool {
+    let me = e.engine_id();
+    let mut any = false;
+    for from in 0..sh.chan.len() {
+        if from == me || sh.in_delay[me][from] == SimTime::MAX {
+            continue;
+        }
+        for ev in sh.channel(me, from).drain(..) {
+            e.enqueue(ev);
+            any = true;
+        }
+    }
+    any
+}
+
+/// Appends every send buffer holding at least `min_len` events to its
+/// target's channel, waiting (and draining our own inboxes, to stay
+/// deadlock-free) while a channel is at capacity.  Only called between
+/// `step_batch` calls, never inside one.
+fn publish(e: &mut EventLoop, sh: &Shared, min_len: usize) {
+    let me = e.engine_id();
+    for target in 0..sh.chan.len() {
+        if e.sends_mut(target).len() < min_len {
+            continue;
+        }
         loop {
             {
-                let mut ch = sh.chan[target][self.id].lock().unwrap();
+                let mut ch = sh.channel(target, me);
                 if ch.len() < CHAN_CAP {
-                    ch.extend(self.out[target].drain(..));
-                    return;
+                    ch.extend(e.sends_mut(target).drain(..));
+                    break;
                 }
             }
-            self.drain_inboxes(sh);
+            drain_inboxes(e, sh);
             std::thread::yield_now();
-        }
-    }
-
-    /// Flushes every non-empty send buffer.
-    fn flush_all(&mut self, sh: &Shared) {
-        for t in 0..self.out.len() {
-            if !self.out[t].is_empty() {
-                self.flush_to(sh, t);
-            }
-        }
-    }
-
-    /// Processes one local event (the engine-side mirror of
-    /// `World::step`, minus fault injection — faulty links force the
-    /// serial loop).
-    fn step(&mut self, sh: &Shared) {
-        let Some((at, key, kind)) = self.queue.pop() else {
-            return;
-        };
-        debug_assert!(at >= self.now, "engine queue went backwards");
-        self.now = at;
-        self.stats.events += 1;
-        World::record_trace(&mut self.trace, self.trace_depth, at, key, &kind);
-
-        let mut out = std::mem::take(&mut self.scratch);
-        let device = kind.device();
-        let dev = self.devices[device].as_mut().expect("event routed to non-owned device");
-        match kind {
-            EventKind::Deliver { port, pkt, .. } => dev.rx(port, pkt, at, &mut out),
-            EventKind::Wake { token, .. } => dev.wake(token, at, &mut out),
-        }
-        self.flush_outbox(device, &mut out, sh);
-        self.scratch = out;
-    }
-
-    fn flush_outbox(&mut self, device: DeviceId, out: &mut Outbox, sh: &Shared) {
-        for (token, at) in out.wakes.drain(..) {
-            let key = EvKey::device(self.now, device, self.ctrs[device]);
-            self.ctrs[device] += 1;
-            self.queue.push(at.max(self.now), key, EventKind::Wake { device, token });
-        }
-        for (port, pkt, at) in out.emits.drain(..) {
-            let Some(link) = self.links.get(&(device, port)) else {
-                self.stats.dangling_emits += 1;
-                continue;
-            };
-            let key = EvKey::device(self.now, device, self.ctrs[device]);
-            self.ctrs[device] += 1;
-            let arrival = at.max(self.now) + link.delay;
-            let (peer_dev, peer_port) = link.peer;
-            let target = link.target as usize;
-            if target == self.id {
-                self.queue.push(
-                    arrival,
-                    key,
-                    EventKind::Deliver { device: peer_dev, port: peer_port, pkt },
-                );
-            } else {
-                self.out[target].push(Msg {
-                    at: arrival,
-                    key,
-                    device: peer_dev,
-                    port: peer_port,
-                    pkt,
-                });
-                if self.out[target].len() >= FLUSH_BATCH {
-                    self.flush_to(sh, target);
-                }
-            }
         }
     }
 }
@@ -268,8 +176,8 @@ impl Drop for CommitGuard<'_> {
 }
 
 /// The engine worker loop: the barrier-free horizon protocol.
-fn run_engine(e: &mut Engine, sh: &Shared) {
-    let me = e.id;
+fn run_engine(e: &mut EventLoop, sh: &Shared) {
+    let me = e.engine_id();
     let _guard = CommitGuard(&sh.commits[me]);
     loop {
         // 1. Snapshot in-neighbor commits (Acquire pairs with their
@@ -292,18 +200,17 @@ fn run_engine(e: &mut Engine, sh: &Shared) {
             horizon = horizon.min(c.saturating_add(d));
         }
         // 2. Ingest everything those commits cover.
-        let mut progress = e.drain_inboxes(sh);
+        let mut progress = drain_inboxes(e, sh);
         // 3. Process local events up to the horizon (inclusive: a
-        //    neighbor's later sends arrive strictly after commit + delay).
-        while let Some(at) = e.queue.peek_min_at() {
-            if at > horizon {
-                break;
-            }
-            e.step(sh);
+        //    neighbor's later sends arrive strictly after commit + delay),
+        //    batched exactly as the serial loop batches them.
+        while e.peek_min_at().is_some_and(|at| at <= horizon) {
+            e.step_batch(u64::MAX, horizon);
+            publish(e, sh, FLUSH_BATCH);
             progress = true;
         }
-        // 4. Publish sends, then the commit.
-        e.flush_all(sh);
+        // 4. Publish the remaining sends, then the commit.
+        publish(e, sh, 1);
         let prev = sh.commits[me].load(Ordering::Relaxed);
         if horizon > prev {
             sh.commits[me].store(horizon, Ordering::Release);
@@ -328,29 +235,30 @@ fn find(dsu: &mut [usize], mut x: usize) -> usize {
     x
 }
 
-/// Attempts to run `world` partitioned until `t_end`.  Returns the events
-/// processed, or `None` when the serial fallback applies (see the module
-/// docs for the policy).
-pub(crate) fn try_run_until(world: &mut World, t_end: SimTime) -> Option<u64> {
-    let want = match world.sim_threads {
+/// Attempts to run a world's event loop `core` partitioned until `t_end`.
+/// Returns the events processed, or `None` when the serial fallback applies
+/// (see the module docs for the policy).
+pub(crate) fn try_run_until(
+    core: &mut EventLoop,
+    threads: SimThreads,
+    t_end: SimTime,
+) -> Option<u64> {
+    let want = match threads {
         SimThreads::Fixed(n) => n,
         SimThreads::Auto => usize::MAX,
     };
-    let n_dev = world.devices.len();
-    if want <= 1 || n_dev < 2 {
+    let n_dev = core.device_count();
+    if want <= 1 || n_dev < 2 || core.has_faulty_links() {
         return None;
     }
-    if world.links.values().any(|l| l.has_faults()) {
-        return None;
-    }
-    match world.queue.peek_min_at() {
+    match core.peek_min_at() {
         Some(at) if at <= t_end => {}
         _ => return None, // nothing to do before t_end
     }
 
     // Contract zero-delay links: no lookahead exists across them.
     let mut dsu: Vec<usize> = (0..n_dev).collect();
-    for (&(a, _), l) in &world.links {
+    for (a, l) in core.links() {
         if l.delay == 0 {
             let (ra, rb) = (find(&mut dsu, a), find(&mut dsu, l.peer.0));
             dsu[ra.max(rb)] = ra.min(rb);
@@ -371,7 +279,7 @@ pub(crate) fn try_run_until(world: &mut World, t_end: SimTime) -> Option<u64> {
     }
 
     // Resolve the engine count, drawing from the shared pool under Auto.
-    let (n_eng, from_pool) = match world.sim_threads {
+    let (n_eng, from_pool) = match threads {
         SimThreads::Fixed(n) => (n.min(n_groups), 0),
         SimThreads::Auto => {
             let got = budget::try_acquire(n_groups - 1);
@@ -404,7 +312,7 @@ pub(crate) fn try_run_until(world: &mut World, t_end: SimTime) -> Option<u64> {
     // Minimum directed cross-engine delay (every cross link has delay > 0
     // — zero-delay links were contracted into one group).
     let mut in_delay = vec![vec![SimTime::MAX; n_eng]; n_eng];
-    for (&(a, _), l) in &world.links {
+    for (a, l) in core.links() {
         let (ea, eb) = (dev_engine[a] as usize, dev_engine[l.peer.0] as usize);
         if ea != eb {
             let d = &mut in_delay[eb][ea];
@@ -412,42 +320,8 @@ pub(crate) fn try_run_until(world: &mut World, t_end: SimTime) -> Option<u64> {
         }
     }
 
-    // Build the engines: move devices and counters in, split the queue by
-    // target device, hand each engine the links of its own devices.
-    world.started = true;
-    let mut engines: Vec<Engine> = (0..n_eng)
-        .map(|id| Engine {
-            id,
-            devices: (0..n_dev).map(|_| None).collect(),
-            ctrs: vec![0; n_dev],
-            links: HashMap::new(),
-            queue: EventQueue::new(world.qkind),
-            scratch: Outbox::default(),
-            now: world.now,
-            stats: WorldStats::default(),
-            out: (0..n_eng).map(|_| Vec::new()).collect(),
-            trace: Vec::new(),
-            trace_depth: world.trace_depth,
-        })
-        .collect();
-    for (d, dev) in std::mem::take(&mut world.devices).into_iter().enumerate() {
-        let e = dev_engine[d] as usize;
-        engines[e].devices[d] = Some(dev);
-        engines[e].ctrs[d] = world.ctrs[d];
-    }
-    for (&(a, p), l) in &world.links {
-        let e = dev_engine[a] as usize;
-        engines[e].links.insert(
-            (a, p),
-            LocalLink { peer: l.peer, delay: l.delay, target: dev_engine[l.peer.0] },
-        );
-    }
-    while let Some((at, key, kind)) = world.queue.pop() {
-        engines[dev_engine[kind.device()] as usize].queue.push(at, key, kind);
-    }
-
     let shared = Shared {
-        commits: (0..n_eng).map(|_| AtomicU64::new(world.now)).collect(),
+        commits: (0..n_eng).map(|_| AtomicU64::new(core.now())).collect(),
         chan: (0..n_eng)
             .map(|_| (0..n_eng).map(|_| Mutex::new(VecDeque::new())).collect())
             .collect(),
@@ -455,67 +329,41 @@ pub(crate) fn try_run_until(world: &mut World, t_end: SimTime) -> Option<u64> {
         t_end,
     };
 
-    let engines: Vec<Engine> = std::thread::scope(|s| {
+    // One event loop per engine, each on its own thread.  A thread hands
+    // back, with its loop, the profile counters its devices recorded in
+    // that thread's cells.
+    let engines = core.partition(&dev_engine, n_eng);
+    let engines: Vec<EventLoop> = std::thread::scope(|s| {
         let shared = &shared;
         let handles: Vec<_> = engines
             .into_iter()
             .map(|mut e| {
                 s.spawn(move || {
                     run_engine(&mut e, shared);
-                    e
+                    (e, metrics::profile_snapshot())
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("engine thread panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| {
+                let (e, profile) = h.join().expect("engine thread panicked");
+                metrics::absorb_engine_thread(&profile);
+                e
+            })
+            .collect()
     });
-
-    // Reassemble the world: devices and counters back in place, leftover
-    // events (beyond t_end) re-queued, stats summed.
     budget::release(from_pool);
-    let mut devices: Vec<Option<Box<dyn Device>>> = (0..n_dev).map(|_| None).collect();
-    let mut total = 0u64;
-    let mut new_trace: Vec<TraceEntry> = Vec::new();
-    for mut e in engines {
-        total += e.stats.events;
-        world.stats.events += e.stats.events;
-        world.stats.dangling_emits += e.stats.dangling_emits;
-        world.engine_peak = world.engine_peak.max(e.queue.peak_len() as u64);
-        for (d, slot) in e.devices.iter_mut().enumerate() {
-            if let Some(dev) = slot.take() {
-                devices[d] = Some(dev);
-                world.ctrs[d] = e.ctrs[d];
-            }
-        }
-        while let Some((at, key, kind)) = e.queue.pop() {
-            world.queue.push(at, key, kind);
-        }
-        new_trace.append(&mut e.trace);
-    }
-    world.devices = devices.into_iter().map(|d| d.expect("device not returned")).collect();
+
+    let total = core.reassemble(engines);
     // Channel residue: deliveries beyond t_end sent after the receiver
     // exited (protocol invariant: anything ≤ t_end was consumed).
-    for row in &shared.chan {
-        for ch in row {
-            for m in ch.lock().unwrap().drain(..) {
-                debug_assert!(m.at > t_end, "in-flight event within the horizon");
-                world.queue.push(
-                    m.at,
-                    m.key,
-                    EventKind::Deliver { device: m.device, port: m.port, pkt: m.pkt },
-                );
-            }
+    for ch in shared.chan.into_iter().flatten() {
+        for ev in ch.into_inner().expect("an engine panicked holding a channel") {
+            debug_assert!(ev.0 > t_end, "in-flight event within the horizon");
+            core.enqueue(ev);
         }
     }
-    if world.trace_depth > 0 {
-        // Engine traces interleave deterministically by (at, key).
-        new_trace.sort_by_key(|t| (t.at, t.key));
-        world.trace.append(&mut new_trace);
-        let len = world.trace.len();
-        if len > world.trace_depth {
-            world.trace.drain(..len - world.trace_depth);
-        }
-    }
-    world.now = world.now.max(t_end);
     Some(total)
 }
 

@@ -13,27 +13,27 @@
 //! Worlds are constructed through [`World::builder`]; topologies whose
 //! device groups are separated by nonzero-delay links can run partitioned
 //! across worker threads (see [`crate::parallel`]), falling back to the
-//! serial loop otherwise.
+//! serial loop otherwise.  Either way every event goes through the one
+//! event loop of the private `evloop` module, which a world owns once and
+//! a partitioned run instantiates per engine.
 //!
 //! Links support smoltcp-style fault injection (random drop, corruption
 //! and jitter) for the failure-handling tests.
 
+use crate::evloop::{EventKind, EventLoop};
 use crate::packet::SimPacket;
-use crate::phv::{fields, FieldId};
 use crate::time::SimTime;
-use crate::timerwheel::TimerWheel;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 
 /// Per-thread simulation counters, aggregated across every [`World`] that
 /// ran on the thread.  The parallel experiment harness snapshots these
 /// around each job to report events and queue pressure per experiment
 /// without threading a context object through every device.  A partitioned
-/// world folds its engines' counters back into the owning thread's cells
-/// when it is dropped, so the numbers stay complete under `--sim-threads`.
+/// run folds its engines' counters back into the owning world and thread
+/// when the engines are reassembled, so the numbers stay complete under
+/// `--sim-threads`.
 pub mod metrics {
     use std::cell::Cell;
 
@@ -94,11 +94,6 @@ pub mod metrics {
     /// Cumulative profile counters of this thread, for `--profile`
     /// reports.  Counters are cumulative across jobs; snapshot before and
     /// after a run and subtract ([`ProfileSnapshot::delta_since`]).
-    ///
-    /// Partitioned runs accumulate retired ops on their engine threads, so
-    /// `ops_retired` is complete only for serial (`--workers`-level
-    /// parallel, `--sim-threads 1`) runs; events are folded back on world
-    /// drop either way.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ProfileSnapshot {
         /// Events processed (same counter as [`thread_events`]).
@@ -163,6 +158,14 @@ pub mod metrics {
         }
     }
 
+    /// Adds the counters an engine thread of a partitioned run
+    /// accumulated to the calling (owning) thread's.
+    pub(crate) fn absorb_engine_thread(engine: &ProfileSnapshot) {
+        OPS.with(|c| c.set(c.get() + engine.ops_retired));
+        VEC_BATCHES.with(|c| c.set(c.get() + engine.vector_batches));
+        VEC_LANES.with(|c| c.set(c.get() + engine.vector_lanes));
+    }
+
     pub(super) fn record(events: u64, peak_queue: u64) {
         EVENTS.with(|c| c.set(c.get() + events));
         PEAK_QUEUE.with(|c| c.set(c.get().max(peak_queue)));
@@ -201,7 +204,7 @@ pub struct Outbox {
     /// Segment boundaries `(wakes.len(), emits.len())` recorded between
     /// batch items, so a single batched flush can reproduce the per-event
     /// wakes-then-emits key-assignment order of the serial loop.
-    marks: Vec<(usize, usize)>,
+    pub(crate) marks: Vec<(usize, usize)>,
 }
 
 impl Outbox {
@@ -336,10 +339,10 @@ pub trait Device: Any + Send {
     /// `t` and the earliest event (emission arrival or wake) any handler of
     /// this device may create.  `0` (the default) promises nothing and
     /// keeps the device on the same-instant batching rule; a nonzero value
-    /// lets the world widen batches across instants inside the lookahead
-    /// window (`World::step_batch`'s windowed mode).  A device returning
-    /// `t_la` here MUST never emit or wake earlier than `now + t_la` — the
-    /// ordering proof of the windowed batch depends on it.
+    /// lets the event loop widen batches across instants inside the
+    /// lookahead window (DESIGN.md §5a).  A device returning `t_la` here
+    /// MUST never emit or wake earlier than `now + t_la` — the ordering
+    /// proof of the windowed batch depends on it.
     fn lookahead(&self) -> SimTime {
         0
     }
@@ -418,6 +421,9 @@ pub struct Link {
     pub corrupt_chance: f64,
     /// Uniform random extra delay in `0..=jitter` per delivery.
     pub jitter: SimTime,
+    /// The engine owning the peer device: 0 in a serial world, filled in
+    /// per run when a world is partitioned.
+    pub(crate) engine: u32,
 }
 
 impl Link {
@@ -465,48 +471,6 @@ impl EvKey {
     }
 }
 
-#[derive(Debug)]
-pub(crate) enum EventKind {
-    Deliver { device: DeviceId, port: u16, pkt: SimPacket },
-    Wake { device: DeviceId, token: u64 },
-}
-
-impl EventKind {
-    /// The device this event targets.
-    pub(crate) fn device(&self) -> DeviceId {
-        match *self {
-            EventKind::Deliver { device, .. } | EventKind::Wake { device, .. } => device,
-        }
-    }
-}
-
-#[derive(Debug)]
-pub(crate) struct Event {
-    at: SimTime,
-    key: EvKey,
-    /// Index of the payload in the queue's slab.  Keeping the
-    /// [`EventKind`] out of line shrinks the entries the heap sifts (and
-    /// the wheel's slots shift) from ~88 to 40 bytes.
-    slot: u32,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.key).cmp(&(other.at, other.key))
-    }
-}
-
 /// Statistics of a world run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorldStats {
@@ -518,20 +482,6 @@ pub struct WorldStats {
     pub link_corruptions: u64,
     /// Emissions out of ports with no link attached.
     pub dangling_emits: u64,
-}
-
-/// Which event-queue implementation a [`World`] uses.
-///
-/// Both yield the identical `(at, key)` pop order, so results are
-/// bit-for-bit equal either way; the choice only affects speed.  The
-/// heap is kept for A/B benchmarking against the seed implementation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The seed discipline: a binary heap, `O(log n)` per event.
-    Heap,
-    /// The hierarchical timer wheel ([`TimerWheel`]) — amortized `O(1)`.
-    #[default]
-    Wheel,
 }
 
 /// How many engine threads a partitioned run may use.
@@ -578,10 +528,9 @@ impl std::error::Error for WorldConfigError {}
 /// [`build`](Self::build) validates and returns the world.
 ///
 /// ```
-/// use ht_asic::sim::{QueueKind, SimThreads, World};
+/// use ht_asic::sim::{SimThreads, World};
 /// let w = World::builder()
 ///     .seed(42)
-///     .queue(QueueKind::Wheel)
 ///     .partitions(SimThreads::Auto)
 ///     .build()
 ///     .unwrap();
@@ -590,7 +539,6 @@ impl std::error::Error for WorldConfigError {}
 #[derive(Debug, Clone)]
 pub struct WorldBuilder {
     seed: u64,
-    queue: QueueKind,
     partitions: SimThreads,
     trace: usize,
 }
@@ -599,12 +547,6 @@ impl WorldBuilder {
     /// Seed of the fault-injection RNG (default 1).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Event-queue implementation (default: timer wheel).
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
         self
     }
 
@@ -628,29 +570,10 @@ impl WorldBuilder {
             return Err(WorldConfigError::ZeroSimThreads);
         }
         Ok(World {
-            devices: Vec::new(),
-            links: HashMap::new(),
-            link_table: Vec::new(),
-            queue: EventQueue::new(self.queue),
-            qkind: self.queue,
-            scratch: Outbox::default(),
-            now: 0,
-            ctrs: Vec::new(),
+            core: EventLoop::new(StdRng::seed_from_u64(self.seed), self.trace),
             inj_ctr: 0,
-            started: false,
-            rng: StdRng::seed_from_u64(self.seed),
             sim_threads: self.partitions,
-            trace_depth: self.trace,
-            trace: Vec::new(),
-            engine_peak: 0,
             stats: WorldStats::default(),
-            batch_scratch: Vec::new(),
-            batch_hist: [0; metrics::BATCH_BUCKETS],
-            by_kind: [0; metrics::KIND_COUNT],
-            lookaheads: Vec::new(),
-            faulty_links: false,
-            window_groups: Vec::new(),
-            group_pool: Vec::new(),
         })
     }
 }
@@ -678,212 +601,43 @@ pub struct TraceEntry {
     pub kind: TraceKind,
 }
 
-/// The ordering structure of an [`EventQueue`]: entries are `(at, key,
-/// slab slot)` triples; payloads live in the owning queue's slab.
-#[derive(Debug)]
-enum QueueImpl {
-    Heap { heap: BinaryHeap<Reverse<Event>>, peak: usize },
-    Wheel(TimerWheel<u32, EvKey>),
-}
-
-/// The discrete-event queue: a heap or timer-wheel ordering structure
-/// plus a slab holding the event payloads out of line, so ordering
-/// operations move 40-byte entries instead of full [`EventKind`]s.
-#[derive(Debug)]
-pub(crate) struct EventQueue {
-    q: QueueImpl,
-    /// Payload store; `None` marks a free slot.
-    slab: Vec<Option<EventKind>>,
-    /// Free-slot indices, reused LIFO.
-    free: Vec<u32>,
-}
-
-impl EventQueue {
-    pub(crate) fn new(kind: QueueKind) -> Self {
-        let q = match kind {
-            QueueKind::Heap => QueueImpl::Heap { heap: BinaryHeap::new(), peak: 0 },
-            QueueKind::Wheel => QueueImpl::Wheel(TimerWheel::new()),
-        };
-        EventQueue { q, slab: Vec::new(), free: Vec::new() }
-    }
-
-    fn alloc(&mut self, kind: EventKind) -> u32 {
-        if let Some(s) = self.free.pop() {
-            self.slab[s as usize] = Some(kind);
-            s
-        } else {
-            self.slab.push(Some(kind));
-            (self.slab.len() - 1) as u32
-        }
-    }
-
-    fn take(&mut self, slot: u32) -> EventKind {
-        self.free.push(slot);
-        self.slab[slot as usize].take().expect("live slab slot")
-    }
-
-    pub(crate) fn push(&mut self, at: SimTime, key: EvKey, kind: EventKind) {
-        let slot = self.alloc(kind);
-        match &mut self.q {
-            QueueImpl::Heap { heap, peak } => {
-                heap.push(Reverse(Event { at, key, slot }));
-                *peak = (*peak).max(heap.len());
-            }
-            QueueImpl::Wheel(w) => w.push(at, key, slot),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, EvKey, EventKind)> {
-        let (at, key, slot) = match &mut self.q {
-            QueueImpl::Heap { heap, .. } => heap.pop().map(|Reverse(e)| (e.at, e.key, e.slot))?,
-            QueueImpl::Wheel(w) => w.pop()?,
-        };
-        Some((at, key, self.take(slot)))
-    }
-
-    /// Pops the next event only when `take` approves its `(at, key,
-    /// kind)`; leaves the queue untouched otherwise.  The batching loop
-    /// uses this instead of pop-then-push-back, which costs two extra
-    /// heap sifts (or wheel inserts) every time a batch closes.
-    pub(crate) fn pop_if(
-        &mut self,
-        take: impl FnOnce(SimTime, EvKey, &EventKind) -> bool,
-    ) -> Option<(SimTime, EvKey, EventKind)> {
-        let (at, key, slot) = match &mut self.q {
-            QueueImpl::Heap { heap, .. } => {
-                let Reverse(e) = heap.peek()?;
-                (e.at, e.key, e.slot)
-            }
-            QueueImpl::Wheel(w) => {
-                let (at, key, slot) = w.peek()?;
-                (at, *key, *slot)
-            }
-        };
-        let kind = self.slab[slot as usize].as_ref().expect("live slab slot");
-        if !take(at, key, kind) {
-            return None;
-        }
-        match &mut self.q {
-            QueueImpl::Heap { heap, .. } => {
-                heap.pop();
-            }
-            QueueImpl::Wheel(w) => {
-                w.pop();
-            }
-        }
-        Some((at, key, self.take(slot)))
-    }
-
-    /// Arrival time of the next event, without removing it.
-    pub(crate) fn peek_min_at(&mut self) -> Option<SimTime> {
-        match &mut self.q {
-            QueueImpl::Heap { heap, .. } => heap.peek().map(|Reverse(e)| e.at),
-            QueueImpl::Wheel(w) => w.peek_min_at(),
-        }
-    }
-
-    pub(crate) fn peak_len(&self) -> usize {
-        match &self.q {
-            QueueImpl::Heap { peak, .. } => *peak,
-            QueueImpl::Wheel(w) => w.peak_len(),
-        }
-    }
-}
-
 /// The simulation world.
 pub struct World {
-    pub(crate) devices: Vec<Box<dyn Device>>,
-    pub(crate) links: HashMap<(DeviceId, u16), Link>,
-    /// Flat `[device][port]` mirror of [`links`](Self::links): the serial
-    /// hot loop resolves one link per emission, and a direct index beats
-    /// hashing a `(DeviceId, u16)` tuple per event.  Rebuilt by
-    /// [`link`](Self::link); the map stays the source of truth for the
-    /// partitioned-engine splitter.
-    link_table: Vec<Vec<Option<Link>>>,
-    pub(crate) queue: EventQueue,
-    pub(crate) qkind: QueueKind,
-    /// Scratch outbox reused across [`step`](Self::step) calls so the two
-    /// per-event `Vec` allocations of the seed implementation disappear.
-    scratch: Outbox,
-    pub(crate) now: SimTime,
-    /// Per-device event-creation counters (the `ctr` of [`EvKey`]).
-    pub(crate) ctrs: Vec<u64>,
+    /// The event loop and everything it runs on: devices, links, queue,
+    /// clock.  A partitioned run splits it per engine and folds it back.
+    core: EventLoop,
     /// Injection counter shared by pre- and mid-run injections.
     inj_ctr: u64,
-    /// Set once the first event pops; later injections rank
-    /// [`EvKey::SRC_INJECT_MID`].
-    pub(crate) started: bool,
-    rng: StdRng,
-    pub(crate) sim_threads: SimThreads,
-    pub(crate) trace_depth: usize,
-    pub(crate) trace: Vec<TraceEntry>,
-    /// Deepest engine-local queue of any partitioned run (folded into
-    /// [`peak_queue_depth`](Self::peak_queue_depth)).
-    pub(crate) engine_peak: u64,
-    /// Run statistics.
+    sim_threads: SimThreads,
+    /// Run statistics, as of the last [`step`](Self::step) or run call.
     pub stats: WorldStats,
-    /// Reused buffer for same-instant batches.
-    batch_scratch: Vec<BatchItem>,
-    /// Batch-size histogram of this world (folded into [`metrics`] on
-    /// drop).
-    batch_hist: [u64; metrics::BATCH_BUCKETS],
-    /// Events by target device kind (folded into [`metrics`] on drop).
-    by_kind: [u64; metrics::KIND_COUNT],
-    /// Per-device conservative lookahead ([`Device::lookahead`]), cached
-    /// at [`add_device`](Self::add_device) time for the batching hot loop.
-    lookaheads: Vec<SimTime>,
-    /// Set when any link consumes the fault RNG (drop/corrupt/jitter).
-    /// The RNG stream is defined by global flush order, so a faulty world
-    /// must not reorder dispatch across devices — windowed batching is
-    /// disabled and the same-instant rule applies everywhere.
-    faulty_links: bool,
-    /// Reused per-device groups of the windowed batcher.
-    window_groups: Vec<WindowGroup>,
-    /// Spare `(items, times)` buffers for [`WindowGroup`]s.
-    group_pool: Vec<(Vec<BatchItem>, Vec<SimTime>)>,
-}
-
-/// One device's slice of a lookahead window: its items in pop order plus
-/// their event times (parallel vectors; `times[i]` keys the flush segment
-/// of `items[i]`).
-struct WindowGroup {
-    device: DeviceId,
-    items: Vec<BatchItem>,
-    times: Vec<SimTime>,
 }
 
 impl Drop for World {
     fn drop(&mut self) {
         // Fold this world's counters into the per-thread aggregate the
         // experiment harness reads (see [`metrics`]).
-        metrics::record(self.stats.events, self.peak_queue_depth());
-        metrics::record_batches(self.batch_hist, self.by_kind);
+        metrics::record(self.core.stats().events, self.peak_queue_depth());
+        let (batch_hist, by_kind) = self.core.profile();
+        metrics::record_batches(batch_hist, by_kind);
     }
 }
 
 impl World {
-    /// Starts building a world (seed 1, wheel queue, serial, no trace).
+    /// Starts building a world (seed 1, serial, no trace).
     pub fn builder() -> WorldBuilder {
-        WorldBuilder {
-            seed: 1,
-            queue: QueueKind::default(),
-            partitions: SimThreads::default(),
-            trace: 0,
-        }
+        WorldBuilder { seed: 1, partitions: SimThreads::default(), trace: 0 }
     }
 
     /// The deepest the event queue has ever been in this world (the
     /// engine-local maximum in partitioned runs).
     pub fn peak_queue_depth(&self) -> u64 {
-        (self.queue.peak_len() as u64).max(self.engine_peak)
+        self.core.peak_queue_depth()
     }
 
     /// Adds a device, returning its id.
     pub fn add_device(&mut self, dev: Box<dyn Device>) -> DeviceId {
-        self.lookaheads.push(dev.lookahead());
-        self.devices.push(dev);
-        self.ctrs.push(0);
-        self.devices.len() - 1
+        self.core.add_device(dev)
     }
 
     /// Connects two endpoints bidirectionally as described by `spec`.
@@ -899,25 +653,15 @@ impl World {
             drop_chance: spec.drop_chance,
             corrupt_chance: spec.corrupt_chance,
             jitter: spec.jitter,
+            engine: 0,
         };
-        self.links.insert(a, mk(b));
-        self.links.insert(b, mk(a));
-        self.faulty_links |= self.links[&a].has_faults();
-        for (dev, port) in [a, b] {
-            if self.link_table.len() <= dev {
-                self.link_table.resize_with(dev + 1, Vec::new);
-            }
-            let ports = &mut self.link_table[dev];
-            if ports.len() <= usize::from(port) {
-                ports.resize(usize::from(port) + 1, None);
-            }
-            ports[usize::from(port)] = self.links[&(dev, port)].clone().into();
-        }
+        self.core.set_link(a, mk(b));
+        self.core.set_link(b, mk(a));
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now()
     }
 
     /// The key for an externally injected event.  Pre-run injections rank
@@ -926,8 +670,8 @@ impl World {
     fn injection_key(&mut self) -> EvKey {
         let ctr = self.inj_ctr;
         self.inj_ctr += 1;
-        if self.started {
-            EvKey { birth: self.now, src: EvKey::SRC_INJECT_MID, ctr }
+        if self.core.started() {
+            EvKey { birth: self.core.now(), src: EvKey::SRC_INJECT_MID, ctr }
         } else {
             EvKey { birth: 0, src: EvKey::SRC_INJECT_PRE, ctr }
         }
@@ -937,374 +681,30 @@ impl World {
     /// traffic injection, e.g. templates from a test driver).
     pub fn schedule_rx(&mut self, device: DeviceId, port: u16, pkt: SimPacket, at: SimTime) {
         let key = self.injection_key();
-        self.queue.push(at, key, EventKind::Deliver { device, port, pkt });
+        self.core.enqueue((at, key, EventKind::Deliver { device, port, pkt }));
     }
 
     /// Schedules a wake for a device (external timer injection).
     pub fn schedule_wake(&mut self, device: DeviceId, token: u64, at: SimTime) {
         let key = self.injection_key();
-        self.queue.push(at, key, EventKind::Wake { device, token });
-    }
-
-    /// Records a processed event in the debug trace, keeping the ring at
-    /// most `2 * depth` long (the accessor serves the last `depth`).
-    pub(crate) fn record_trace(
-        trace: &mut Vec<TraceEntry>,
-        depth: usize,
-        at: SimTime,
-        key: EvKey,
-        kind: &EventKind,
-    ) {
-        if depth == 0 {
-            return;
-        }
-        let (device, tk) = match kind {
-            EventKind::Deliver { device, .. } => (*device, TraceKind::Deliver),
-            EventKind::Wake { device, .. } => (*device, TraceKind::Wake),
-        };
-        trace.push(TraceEntry { at, key, device, kind: tk });
-        if trace.len() >= depth * 2 {
-            trace.drain(..trace.len() - depth);
-        }
+        self.core.enqueue((at, key, EventKind::Wake { device, token }));
     }
 
     /// The last `trace` events processed (empty unless
     /// [`WorldBuilder::trace`] enabled tracing).
     pub fn trace(&self) -> &[TraceEntry] {
-        let keep = self.trace.len().min(self.trace_depth);
-        &self.trace[self.trace.len() - keep..]
+        self.core.trace()
     }
 
     /// Processes a single event.  Returns `false` when the queue is empty.
+    ///
+    /// This is the batching loop held to one event per call — the
+    /// reference order the batched and partitioned runs are tested
+    /// against.
     pub fn step(&mut self) -> bool {
-        let Some((at, key, kind)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "event queue went backwards");
-        self.started = true;
-        self.now = at;
-        self.stats.events += 1;
-        Self::record_trace(&mut self.trace, self.trace_depth, at, key, &kind);
-
-        // Reuse the scratch outbox (its vectors keep their capacity) —
-        // the seed implementation paid two Vec allocations per event.
-        let mut out = std::mem::take(&mut self.scratch);
-        let device = match kind {
-            EventKind::Deliver { device, port, pkt } => {
-                self.devices[device].rx(port, pkt, self.now, &mut out);
-                device
-            }
-            EventKind::Wake { device, token } => {
-                self.devices[device].wake(token, self.now, &mut out);
-                device
-            }
-        };
-        self.batch_hist[0] += 1;
-        self.by_kind[self.devices[device].device_kind().index()] += 1;
-        self.flush_outbox(device, &mut out);
-        self.scratch = out;
-        true
-    }
-
-    /// Histogram bucket of a dispatched batch of `n` items.
-    fn batch_bucket(n: u64) -> usize {
-        match n {
-            1 => 0,
-            2..=3 => 1,
-            4..=7 => 2,
-            8..=15 => 3,
-            16..=31 => 4,
-            32..=63 => 5,
-            64..=127 => 6,
-            _ => 7,
-        }
-    }
-
-    /// Processes the next ready event *and every immediately following
-    /// event it can prove the serial loop would run in the same order*.
-    ///
-    /// Two proofs are in play, chosen by the first event's device:
-    ///
-    /// **Same-instant rule** (devices without a lookahead, or any world
-    /// with fault-consuming links): followers must share the instant and
-    /// the device, and be ordered (by [`EvKey`]) before any event this
-    /// batch's own handlers can create.  Handlers can only create keys at
-    /// `(now, device, ctr ≥ ctr₀)` where `ctr₀` is the device's counter
-    /// when the batch starts, so any queued event below that bound pops
-    /// before them under serial execution no matter when the handlers run.
-    ///
-    /// **Lookahead window** ([`step_window`](Self::step_window)): when the
-    /// first event's device declares a nonzero [`Device::lookahead`], the
-    /// batch may span instants and devices — see that method's proof.
-    ///
-    /// At most `max` events (capped at [`Self::MAX_BATCH`]) at or before
-    /// `t_bound` are taken; a non-matching successor is never popped
-    /// (peek-guarded), so the queue is left exactly as a serial loop
-    /// would.  Returns the number of events processed (0 = queue empty).
-    fn step_batch(&mut self, max: u64, t_bound: SimTime) -> u64 {
-        let Some((at, key, kind)) = self.queue.pop() else {
-            return 0;
-        };
-        debug_assert!(at >= self.now, "event queue went backwards");
-        self.started = true;
-        self.now = at;
-        let device = kind.device();
-        Self::record_trace(&mut self.trace, self.trace_depth, at, key, &kind);
-
-        let la0 = self.lookaheads[device];
-        if la0 > 0 && !self.faulty_links && max > 1 {
-            return self.step_window(at, kind, la0, max, t_bound);
-        }
-
-        let bound = EvKey::device(at, device, self.ctrs[device]);
-        let into_item = |kind: EventKind| match kind {
-            EventKind::Deliver { port, pkt, .. } => BatchItem::Deliver { port, pkt, at },
-            EventKind::Wake { token, .. } => BatchItem::Wake { token, at },
-        };
-
-        let cap = max.min(Self::MAX_BATCH);
-        // Peek-guarded pop: a non-batchable successor (later instant,
-        // other device, or not provably ordered before this batch's own
-        // children) is never removed, so nothing is pushed back and
-        // global order is trivially unchanged.
-        let pop_follower = |queue: &mut EventQueue| {
-            queue.pop_if(|at2, key2, kind2| at2 == at && kind2.device() == device && key2 < bound)
-        };
-
-        let mut out = std::mem::take(&mut self.scratch);
-        let n;
-        let second = if cap > 1 { pop_follower(&mut self.queue) } else { None };
-        if let Some((at2, key2, kind2)) = second {
-            Self::record_trace(&mut self.trace, self.trace_depth, at2, key2, &kind2);
-            let mut batch = std::mem::take(&mut self.batch_scratch);
-            batch.clear();
-            batch.push(into_item(kind));
-            batch.push(into_item(kind2));
-            while (batch.len() as u64) < cap {
-                let Some((at2, key2, kind2)) = pop_follower(&mut self.queue) else { break };
-                Self::record_trace(&mut self.trace, self.trace_depth, at2, key2, &kind2);
-                batch.push(into_item(kind2));
-            }
-            n = batch.len() as u64;
-            self.devices[device].rx_batch(&mut batch, at, &mut out);
-            debug_assert!(batch.is_empty(), "rx_batch must drain its items");
-            batch.clear();
-            self.batch_scratch = batch;
-        } else {
-            // Single event (the common case): dispatch directly, skipping
-            // the batch buffer and checkpoint machinery entirely.
-            n = 1;
-            match kind {
-                EventKind::Deliver { port, pkt, .. } => {
-                    self.devices[device].rx(port, pkt, at, &mut out)
-                }
-                EventKind::Wake { token, .. } => self.devices[device].wake(token, at, &mut out),
-            }
-        }
-
-        self.stats.events += n;
-        self.batch_hist[Self::batch_bucket(n)] += 1;
-        self.by_kind[self.devices[device].device_kind().index()] += n;
-        self.flush_outbox(device, &mut out);
-        self.scratch = out;
-        n
-    }
-
-    /// Largest batch one [`step_batch`](Self::step_batch) call dispatches.
-    const MAX_BATCH: u64 = 256;
-
-    /// Windowed batching across instants and devices, rooted at an event
-    /// of a device with conservative lookahead `la0`.
-    ///
-    /// The window is a *contiguous prefix* of the global `(at, key)` pop
-    /// order: each candidate is the queue's current minimum and is taken
-    /// only when (a) its time is `≤ t_bound`, (b) its time is strictly
-    /// below the window horizon, and (c) its device declares a nonzero
-    /// lookahead.  The horizon is `min` over member devices of
-    /// `first_occurrence_time + lookahead`; any event a member handler
-    /// creates from an item at `t` lands at `≥ t + lookahead ≥ horizon`,
-    /// strictly after every window item, so the serial loop would process
-    /// exactly these items in exactly this pop order before touching
-    /// anything the window creates.
-    ///
-    /// Items are then dispatched grouped per device (per-device pop order
-    /// preserved).  Cross-device dispatch reorder is invisible: devices
-    /// interact only through events (which all land past the horizon),
-    /// per-device [`EvKey`] counters advance in per-device order, and the
-    /// fault RNG is untouched (the window only forms in fault-free
-    /// worlds).  Created events take their creating item's time as key
-    /// birth and clamp, via per-segment flushing, so keys are identical
-    /// to the serial loop's.
-    fn step_window(
-        &mut self,
-        at: SimTime,
-        first: EventKind,
-        la0: SimTime,
-        max: u64,
-        t_bound: SimTime,
-    ) -> u64 {
-        let device = first.device();
-        let mut horizon = at.saturating_add(la0);
-        let cap = max.min(Self::MAX_BATCH);
-
-        let into_item = |kind: EventKind, at: SimTime| match kind {
-            EventKind::Deliver { port, pkt, .. } => BatchItem::Deliver { port, pkt, at },
-            EventKind::Wake { token, .. } => BatchItem::Wake { token, at },
-        };
-
-        let mut groups = std::mem::take(&mut self.window_groups);
-        debug_assert!(groups.is_empty());
-        let (items, times) = self.group_pool.pop().unwrap_or_default();
-        groups.push(WindowGroup { device, items, times });
-        groups[0].items.push(into_item(first, at));
-        groups[0].times.push(at);
-
-        let mut n: u64 = 1;
-        let mut last_at = at;
-        while n < cap {
-            let la = &self.lookaheads;
-            let popped = self.queue.pop_if(|at2, _key2, kind2| {
-                at2 <= t_bound && at2 < horizon && la[kind2.device()] > 0
-            });
-            let Some((at2, key2, kind2)) = popped else { break };
-            Self::record_trace(&mut self.trace, self.trace_depth, at2, key2, &kind2);
-            let d2 = kind2.device();
-            let mut gi = usize::MAX;
-            for (i, g) in groups.iter().enumerate() {
-                if g.device == d2 {
-                    gi = i;
-                    break;
-                }
-            }
-            if gi == usize::MAX {
-                // A joining device tightens the horizon; items already
-                // taken are at times ≤ at2 < at2 + lookahead, so they
-                // remain inside the tightened window.
-                horizon = horizon.min(at2.saturating_add(self.lookaheads[d2]));
-                let (items, times) = self.group_pool.pop().unwrap_or_default();
-                groups.push(WindowGroup { device: d2, items, times });
-                gi = groups.len() - 1;
-            }
-            groups[gi].items.push(into_item(kind2, at2));
-            groups[gi].times.push(at2);
-            last_at = at2;
-            n += 1;
-        }
-
-        // The window is fully collected before any handler runs, so
-        // advancing `now` to the last item keeps created-event clamping
-        // (`at.max(seg_time)`) and the backwards-queue debug check honest.
-        self.now = last_at;
-        self.stats.events += n;
-        let mut out = std::mem::take(&mut self.scratch);
-        for g in &mut groups {
-            let len = g.items.len() as u64;
-            let dev = g.device;
-            let base = g.times[0];
-            self.batch_hist[Self::batch_bucket(len)] += 1;
-            self.by_kind[self.devices[dev].device_kind().index()] += len;
-            if len == 1 {
-                let item = g.items.pop().expect("single-item group");
-                match item {
-                    BatchItem::Deliver { port, pkt, at } => {
-                        self.devices[dev].rx(port, pkt, at, &mut out)
-                    }
-                    BatchItem::Wake { token, at } => self.devices[dev].wake(token, at, &mut out),
-                }
-                let times = [base];
-                self.flush_segments(dev, &mut out, &times);
-            } else {
-                let mut items = std::mem::take(&mut g.items);
-                let times = std::mem::take(&mut g.times);
-                self.devices[dev].rx_batch(&mut items, base, &mut out);
-                debug_assert!(items.is_empty(), "rx_batch must drain its items");
-                self.flush_segments(dev, &mut out, &times);
-                g.items = items;
-                g.times = times;
-            }
-        }
-        self.scratch = out;
-        for mut g in groups.drain(..) {
-            g.items.clear();
-            g.times.clear();
-            self.group_pool.push((g.items, g.times));
-        }
-        self.window_groups = groups;
-        n
-    }
-
-    fn flush_outbox(&mut self, device: DeviceId, out: &mut Outbox) {
-        self.flush_segments(device, out, &[]);
-    }
-
-    /// Flushes a batched outbox whose checkpoint segments carry their own
-    /// event times: segment `i` (one batch item's output) uses
-    /// `times[i]` — falling back to `self.now` past the end of `times` or
-    /// when no times were supplied (the same-instant paths) — as the
-    /// [`EvKey`] birth and the earliest-schedule clamp, exactly what a
-    /// serial flush after that item's handler would have used.
-    fn flush_segments(&mut self, device: DeviceId, out: &mut Outbox, times: &[SimTime]) {
-        // Walk the checkpoint segments (one per batch item; the whole
-        // outbox when no checkpoints were recorded), issuing each
-        // segment's wakes before its emissions — the same key-assignment
-        // and fault-RNG order as flushing after every handler separately.
-        let mut wakes = std::mem::take(&mut out.wakes);
-        let mut emits = std::mem::take(&mut out.emits);
-        let marks = std::mem::take(&mut out.marks);
-        let mut wakes_it = wakes.drain(..);
-        let mut emits_it = emits.drain(..);
-        let (mut w0, mut e0) = (0usize, 0usize);
-        let final_mark = std::iter::once((wakes_it.len(), emits_it.len()));
-        for (seg, (w1, e1)) in marks.iter().copied().chain(final_mark).enumerate() {
-            let seg_now = times.get(seg).copied().unwrap_or(self.now);
-            for (token, at) in wakes_it.by_ref().take(w1 - w0) {
-                let key = EvKey::device(seg_now, device, self.ctrs[device]);
-                self.ctrs[device] += 1;
-                self.queue.push(at.max(seg_now), key, EventKind::Wake { device, token });
-            }
-            for (port, mut pkt, at) in emits_it.by_ref().take(e1 - e0) {
-                let slot =
-                    self.link_table.get(device).and_then(|ports| ports.get(usize::from(port)));
-                let Some(Some(link)) = slot else {
-                    self.stats.dangling_emits += 1;
-                    continue;
-                };
-                let link = link.clone();
-                if link.drop_chance > 0.0 && self.rng.gen_bool(link.drop_chance) {
-                    self.stats.link_drops += 1;
-                    continue;
-                }
-                if link.corrupt_chance > 0.0 && self.rng.gen_bool(link.corrupt_chance) {
-                    // Flip one random bit in a random standard header
-                    // field — the PHV-level analogue of a byte corruption
-                    // on the wire.
-                    let f = FieldId(self.rng.gen_range(0..fields::STANDARD_COUNT));
-                    let bit = self.rng.gen_range(0..16u32);
-                    let v = pkt.phv.get(f) ^ (1 << bit);
-                    pkt.phv.set_masked(f, v, 64);
-                    self.stats.link_corruptions += 1;
-                }
-                let mut delay = link.delay;
-                if link.jitter > 0 {
-                    delay += self.rng.gen_range(0..=link.jitter);
-                }
-                let key = EvKey::device(seg_now, device, self.ctrs[device]);
-                self.ctrs[device] += 1;
-                self.queue.push(
-                    at.max(seg_now) + delay,
-                    key,
-                    EventKind::Deliver { device: link.peer.0, port: link.peer.1, pkt },
-                );
-            }
-            (w0, e0) = (w1, e1);
-        }
-        drop(wakes_it);
-        drop(emits_it);
-        // Hand the (now empty) buffers back so their capacity is reused.
-        out.wakes = wakes;
-        out.emits = emits;
-        out.marks = marks;
-        out.marks.clear();
+        let ran = self.core.step_batch(1, SimTime::MAX) == 1;
+        self.stats = self.core.stats();
+        ran
     }
 
     /// Runs until the queue drains or simulated time exceeds `t_end`
@@ -1317,20 +717,20 @@ impl World {
     /// partitioned under the conservative-lookahead protocol; results are
     /// bit-identical to the serial loop either way.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
-        if let Some(n) = crate::parallel::try_run_until(self, t_end) {
-            return n;
-        }
-        let mut n = 0;
-        while let Some(at) = self.queue.peek_min_at() {
-            if at > t_end {
-                break;
+        let n = match crate::parallel::try_run_until(&mut self.core, self.sim_threads, t_end) {
+            Some(n) => n,
+            None => {
+                // Batches never take an event past `t_end`: both batching
+                // rules bound every follower by `t_bound`.
+                let mut n = 0;
+                while self.core.peek_min_at().is_some_and(|at| at <= t_end) {
+                    n += self.core.step_batch(u64::MAX, t_end);
+                }
+                n
             }
-            // Batches never take an event past `t_end`: same-instant
-            // batches share the popped event's instant, and windowed
-            // batches bound every follower by `t_bound`.
-            n += self.step_batch(u64::MAX, t_end);
-        }
-        self.now = self.now.max(t_end);
+        };
+        self.core.advance_to(t_end);
+        self.stats = self.core.stats();
         n
     }
 
@@ -1340,12 +740,13 @@ impl World {
     pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events {
-            let k = self.step_batch(max_events - n, SimTime::MAX);
+            let k = self.core.step_batch(max_events - n, SimTime::MAX);
             if k == 0 {
                 break;
             }
             n += k;
         }
+        self.stats = self.core.stats();
         n
     }
 
@@ -1354,12 +755,12 @@ impl World {
     /// # Panics
     /// Panics when the id is out of range or the type does not match.
     pub fn device<T: 'static>(&self, id: DeviceId) -> &T {
-        self.devices[id].as_any().downcast_ref::<T>().expect("device type mismatch")
+        self.core.device(id).as_any().downcast_ref::<T>().expect("device type mismatch")
     }
 
     /// Typed mutable access to a device.
     pub fn device_mut<T: 'static>(&mut self, id: DeviceId) -> &mut T {
-        self.devices[id].as_any_mut().downcast_mut::<T>().expect("device type mismatch")
+        self.core.device_mut(id).as_any_mut().downcast_mut::<T>().expect("device type mismatch")
     }
 }
 
@@ -1503,27 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_wheel_queues_agree() {
-        // The same scripted scenario must produce identical device state
-        // and stats under both queue implementations.
-        let run = |kind: QueueKind| {
-            let mut w = World::builder().seed(42).queue(kind).build().unwrap();
-            let e = w.add_device(Box::new(Echo { rx_times: Vec::new() }));
-            let c = w.add_device(Box::new(Counter { count: 0, woken: Vec::new() }));
-            w.link((e, 0), (c, 0), LinkSpec::new().delay(2_500).loss(0.2).corrupt(0.1));
-            for i in 0..500 {
-                w.schedule_rx(e, 0, blank_packet(), i * 137);
-                if i % 7 == 0 {
-                    w.schedule_wake(c, i, i * 137);
-                }
-            }
-            w.run_to_idle(10_000);
-            (w.device::<Echo>(e).rx_times.clone(), w.device::<Counter>(c).woken.clone(), w.stats)
-        };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Wheel));
-    }
-
-    #[test]
     fn corrupting_link_flips_fields() {
         let mut w = world(7);
         let e = w.add_device(Box::new(Echo { rx_times: Vec::new() }));
@@ -1571,7 +951,7 @@ mod tests {
 
     #[test]
     fn batched_run_matches_single_stepping() {
-        // Same-instant bursts exercise step_batch's gather path; the
+        // Same-instant bursts exercise the loop's gather path; the
         // batched loop must leave devices, stats, the clock and the fault
         // RNG exactly where the one-event-at-a-time loop does.
         let script = |w: &mut World| {
@@ -1686,7 +1066,7 @@ mod tests {
         let mut serial = world(7);
         let (p1, a1) = script(&mut serial);
         let mut n_serial = 0u64;
-        while serial.queue.peek_min_at().is_some_and(|at| at <= 20_000) {
+        while serial.core.peek_min_at().is_some_and(|at| at <= 20_000) {
             serial.step();
             n_serial += 1;
         }

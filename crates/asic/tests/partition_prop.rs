@@ -7,10 +7,12 @@
 //! recirculating timer-driven generator chain — at 1, 2, 4 and 8 engines,
 //! plus a repeated-stress smoke test of the horizon protocol on a 3-hop
 //! ring (the portable stand-in for a thread-sanitizer run: many
-//! iterations, tiny lookahead, dense cross-engine traffic).
+//! iterations, tiny lookahead, dense cross-engine traffic).  A third
+//! fixture declares device lookaheads, so the engines' own lookahead
+//! windows run inside the horizon protocol.
 
 use ht_asic::phv::FieldTable;
-use ht_asic::sim::{Device, LinkSpec, Outbox, SimThreads, World, WorldStats};
+use ht_asic::sim::{metrics, Device, LinkSpec, Outbox, SimThreads, World, WorldStats};
 use ht_asic::time::SimTime;
 use ht_asic::SimPacket;
 use proptest::prelude::*;
@@ -26,13 +28,28 @@ struct Hop {
     name: String,
     proc: SimTime,
     taps_every: u64,
+    /// Declare `proc` as the device lookahead (it is one: nothing leaves
+    /// earlier than `now + proc`), opting into windowed batching.
+    declares_lookahead: bool,
     count: u64,
     log: u64,
 }
 
 impl Hop {
     fn new(name: &str, proc: SimTime, taps_every: u64) -> Self {
-        Hop { name: name.to_string(), proc, taps_every, count: 0, log: 0xcbf29ce484222325 }
+        Hop {
+            name: name.to_string(),
+            proc,
+            taps_every,
+            declares_lookahead: false,
+            count: 0,
+            log: 0xcbf29ce484222325,
+        }
+    }
+
+    fn declaring_lookahead(mut self) -> Self {
+        self.declares_lookahead = true;
+        self
     }
 }
 
@@ -47,6 +64,14 @@ impl Device for Hop {
         let dest =
             if self.taps_every > 0 && self.count.is_multiple_of(self.taps_every) { 2 } else { 1 };
         out.emit(dest, pkt, now + self.proc);
+    }
+
+    fn lookahead(&self) -> SimTime {
+        if self.declares_lookahead {
+            self.proc
+        } else {
+            0
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -231,6 +256,69 @@ fn run_chain(
     let d = w.device::<Tap>(t);
     per_device.push((d.count, d.log));
     Summary { per_device, stats: w.stats, now: w.now(), processed: vec![n] }
+}
+
+/// A tap-less ring of lookahead-declaring hops under dense traffic (many
+/// packets per lookahead span).  Returns the run's summary and its profile
+/// delta on this thread.
+fn run_lookahead_ring(engines: usize) -> (Summary, metrics::ProfileSnapshot) {
+    const HOPS: usize = 4;
+    let before = metrics::profile_snapshot();
+    let mut w = World::builder().partitions(SimThreads::Fixed(engines)).build().unwrap();
+    let ids: Vec<_> = (0..HOPS)
+        .map(|i| {
+            let hop = Hop::new(&format!("h{i}"), 4_000 + i as u64 * 37, 0).declaring_lookahead();
+            w.add_device(Box::new(hop))
+        })
+        .collect();
+    for i in 0..HOPS {
+        let delay = 3_000 + i as u64 * 111;
+        w.link((ids[i], 1), (ids[(i + 1) % HOPS], 0), LinkSpec::new().delay(delay));
+    }
+    let table = FieldTable::new();
+    for p in 0..96u64 {
+        w.schedule_rx(ids[(p % HOPS as u64) as usize], 0, blank(&table, p), p * 97);
+    }
+    let n1 = w.run_until(150_000);
+    let n2 = w.run_until(400_000);
+    let summary = Summary {
+        per_device: ids
+            .iter()
+            .map(|&h| {
+                let d = w.device::<Hop>(h);
+                (d.count, d.log)
+            })
+            .collect(),
+        stats: w.stats,
+        now: w.now(),
+        processed: vec![n1, n2],
+    };
+    drop(w); // folds the world's histograms into this thread's counters
+    (summary, metrics::profile_snapshot().delta_since(&before))
+}
+
+/// The engines run the same loop as the serial world, so a partitioned run
+/// batches: results stay identical at every engine count, every event is
+/// accounted for in the profile, and lookahead windows do form.
+#[test]
+fn lookahead_ring_batches_on_every_engine_count() {
+    let (serial, _) = run_lookahead_ring(1);
+    assert!(serial.stats.events > 0);
+    for engines in [1, 2, 4, 8] {
+        let (run, profile) = run_lookahead_ring(engines);
+        assert_eq!(run, serial, "{engines} engines diverged from serial");
+        assert_eq!(profile.events, serial.stats.events);
+        assert_eq!(profile.by_kind.iter().sum::<u64>(), profile.events, "{engines} engines");
+        // Every dispatch is in the histogram, and there are fewer
+        // dispatches than events (so `batch_hist[0] < events` too).
+        let dispatches: u64 = profile.batch_hist.iter().sum();
+        assert!(
+            0 < dispatches && dispatches < profile.events,
+            "{engines} engines never formed a multi-event batch: {:?} over {} events",
+            profile.batch_hist,
+            profile.events
+        );
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! run with a warm-up window, and collect per-port measurements.
 
 use ht_asic::time::{ms, SimTime};
-use ht_asic::{DeviceId, LinkSpec, QueueKind, SimThreads, Switch, World};
+use ht_asic::{DeviceId, LinkSpec, SimThreads, Switch, World};
 use ht_core::{build, BuiltTester, TesterConfig};
 use ht_cpu::SwitchCpu;
 use ht_dut::Sink;
@@ -53,9 +53,6 @@ pub struct RunSpec<'a> {
     pub window: SimTime,
     /// Log arrivals (needed for rate-control error metrics).
     pub log_arrivals: bool,
-    /// Event-queue implementation for the simulation world (the hot-path
-    /// A/B benchmark overrides the default).
-    pub queue: QueueKind,
 }
 
 impl Default for RunSpec<'_> {
@@ -69,7 +66,6 @@ impl Default for RunSpec<'_> {
             warmup: ms(1),
             window: ms(1),
             log_arrivals: false,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -89,11 +85,7 @@ pub fn run(spec: RunSpec<'_>) -> HtRun {
         templates.extend(built.template_copies(i, copies));
     }
 
-    let mut world = World::builder()
-        .queue(spec.queue)
-        .partitions(SimThreads::Auto)
-        .build()
-        .expect("static config");
+    let mut world = World::builder().partitions(SimThreads::Auto).build().expect("static config");
     let mut sink = Sink::new("sink");
     if spec.log_arrivals {
         sink = sink.logging_arrivals();

@@ -19,10 +19,17 @@ fn table5_rows_hold_the_loc_relations() {
 
 #[test]
 fn fig9_small_sweep_hits_line_rate() {
+    let arena0 = ht_asic::arena::stats();
     let pts = fig9_ht_single_port(gbps(100), &[64, 1500]);
     for p in pts {
         assert!((p.mpps - p.line_mpps).abs() / p.line_mpps < 0.02, "{} B", p.frame_len);
     }
+    // The accelerator clones every recirculating template once per loop
+    // for the wire: once the buffers in flight exist, the PHV arena must
+    // serve every further clone.
+    let arena = ht_asic::arena::stats();
+    let (allocs, reuses) = (arena.allocs - arena0.allocs, arena.reuses - arena0.reuses);
+    assert!(reuses > allocs, "{reuses} reuses vs {allocs} allocs");
     let mg = fig9_mg_single_port(gbps(40), &[64]);
     assert!(mg[0].mpps < mg[0].line_mpps * 0.3);
 }

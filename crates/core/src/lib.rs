@@ -41,6 +41,6 @@ pub mod prelude {
         build, BuildError, BuiltTester, ConfigError, Gbps, TesterConfig, TesterConfigBuilder,
     };
     pub use ht_asic::switch::CPU_PORT;
-    pub use ht_asic::{QueueKind, SimTime, Switch, World};
+    pub use ht_asic::{SimTime, Switch, World};
     pub use ht_cpu::SwitchCpu;
 }

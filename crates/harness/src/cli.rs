@@ -202,8 +202,6 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
     let report = BenchReport {
         scale: opts.scale,
         workers: opts.workers,
-        queue: "wheel".into(),
-        pooling: ht_asic::arena::pooling(),
         exec: opts.exec.as_str().into(),
         profile: opts.profile,
         wall_ms_total: start.elapsed().as_secs_f64() * 1e3,

@@ -189,7 +189,7 @@ pub trait Experiment: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Report group: `"paper"` for tables/figures, `"ablation"`,
-    /// `"hotpath"` for the engine A/B benchmarks.
+    /// `"hotpath"` for the engine and fuzz-oracle benchmarks.
     fn group(&self) -> &'static str {
         "paper"
     }

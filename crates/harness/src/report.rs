@@ -17,10 +17,6 @@ pub struct BenchReport {
     pub scale: Scale,
     /// Worker threads used.
     pub workers: usize,
-    /// Event-queue implementation label (`"wheel"` / `"heap"`).
-    pub queue: String,
-    /// Whether PHV arena pooling was enabled.
-    pub pooling: bool,
     /// Pipeline executor label (`"compiled"` / `"interp"`).
     pub exec: String,
     /// Whether to render the per-experiment profile counters into the
@@ -65,8 +61,6 @@ impl BenchReport {
         s.push_str("  \"schema\": 1,\n");
         s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
         s.push_str(&format!("  \"workers\": {},\n", self.workers));
-        s.push_str(&format!("  \"queue\": \"{}\",\n", esc(&self.queue)));
-        s.push_str(&format!("  \"pooling\": {},\n", self.pooling));
         s.push_str(&format!("  \"exec\": \"{}\",\n", esc(&self.exec)));
         s.push_str(&format!("  \"wall_ms_total\": {},\n", num(self.wall_ms_total)));
         s.push_str("  \"experiments\": [\n");
@@ -126,13 +120,10 @@ impl BenchReport {
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "Suite: {} experiments at {} scale, {} workers, `{}` event queue, \
-             arena pooling {} — total wall clock {:.1} s.\n\n",
+            "Suite: {} experiments at {} scale, {} workers — total wall clock {:.1} s.\n\n",
             self.results.len(),
             self.scale.name(),
             self.workers,
-            self.queue,
-            if self.pooling { "on" } else { "off" },
             self.wall_ms_total / 1e3,
         ));
         s.push_str("| experiment | group | status | checks | wall ms | events | events/sec | peak queue |\n");
@@ -204,7 +195,7 @@ pub struct Regression {
 /// Per-experiment `wall_ms` drift beyond the same threshold (in either
 /// direction) is reported as a **warn-only** note: wall clock is too
 /// machine-dependent to gate on, but a 2× swing is worth a look.
-/// Scale/queue mismatches and missing experiments produce non-fatal notes
+/// Scale mismatches and missing experiments produce non-fatal notes
 /// (the line-oriented parse tolerates hand-edited or older baselines).
 pub fn compare_to_baseline(
     report: &BenchReport,
@@ -318,8 +309,6 @@ mod tests {
         BenchReport {
             scale: Scale::Smoke,
             workers: 2,
-            queue: "wheel".into(),
-            pooling: true,
             exec: "compiled".into(),
             profile: false,
             wall_ms_total: 10.0,

@@ -279,7 +279,11 @@ pub fn run_suite(
             s.spawn(move || {
                 loop {
                     // Own queue front first; then steal from peers' backs.
-                    let unit = queues[me].lock().unwrap().pop_front().or_else(|| {
+                    // The own-queue guard must be gone before stealing:
+                    // two idle workers each holding their own lock while
+                    // reaching for the other's deadlock.
+                    let own = queues[me].lock().unwrap().pop_front();
+                    let unit = own.or_else(|| {
                         (0..queues.len())
                             .filter(|&q| q != me)
                             .find_map(|q| queues[q].lock().unwrap().pop_back())

@@ -182,7 +182,7 @@ fn usage_errors_exit_two_everywhere() {
 fn bench_lists_the_suite() {
     let (stdout, _, ok) = htctl(&["bench", "--list"]);
     assert!(ok, "{stdout}");
-    for name in ["table5_loc", "fig14_accelerator", "ablation_cuckoo", "hotpath_queue_arena"] {
+    for name in ["table5_loc", "fig14_accelerator", "ablation_cuckoo", "sim_scaling"] {
         assert!(stdout.contains(name), "missing {name}: {stdout}");
     }
 }

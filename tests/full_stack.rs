@@ -5,9 +5,10 @@
 use ht_packet::wire::gbps;
 use hypertester::asic::action::{ActionSet, PrimitiveOp};
 use hypertester::asic::phv::fields;
+use hypertester::asic::sim::metrics::{self, ProfileSnapshot};
 use hypertester::asic::table::{MatchKind, Table};
 use hypertester::asic::time::ms;
-use hypertester::asic::{LinkSpec, Switch, World};
+use hypertester::asic::{LinkSpec, SimThreads, Switch, World};
 use hypertester::cpu::SwitchCpu;
 use hypertester::dut::Sink;
 use hypertester::ht::{build, distinct_count, global_value, Gbps, TesterConfig};
@@ -15,9 +16,10 @@ use hypertester::ntapi::{compile, compile_with, parse, CompileOptions, NtapiErro
 
 /// Tester → second (Tofino-like) switch under test → back to the tester:
 /// the Fig. 8 topology, with the DUT being another `ht-asic` switch
-/// programmed as a plain forwarder.
-#[test]
-fn two_switch_testbed_fig8() {
+/// programmed as a plain forwarder.  Returns `(sent, received)` bytes as
+/// the tester's queries saw them, the DUT's `(rx, tx)` frame counters, and
+/// the run's profile counters.
+fn run_fig8(engines: usize) -> ((u64, u64), (u64, u64), ProfileSnapshot) {
     let src = r#"
 T1 = trigger().set([dip, sip, proto, dport, sport], [10.0.0.2, 10.0.0.1, udp, 9, 9])
     .set([pkt_len, interval], [256, 1us])
@@ -43,7 +45,8 @@ Q2 = query().map(p -> (pkt_len)).reduce(func=sum)
     );
     dut.ingress.push_table(fwd);
 
-    let mut w = World::builder().seed(1).build().unwrap();
+    let before = metrics::profile_snapshot();
+    let mut w = World::builder().seed(1).partitions(SimThreads::Fixed(engines)).build().unwrap();
     let t = w.add_device(Box::new(tester.switch));
     let d = w.add_device(Box::new(dut));
     w.link((t, 0), (d, 0), LinkSpec::new().delay(1_000_000)); // 1 µs cable
@@ -54,12 +57,32 @@ Q2 = query().map(p -> (pkt_len)).reduce(func=sum)
     let tester_sw: &Switch = w.device(t);
     let sent = global_value(tester_sw, &tester.handles.queries["Q1"]);
     let received = global_value(tester_sw, &tester.handles.queries["Q2"]);
+    let dut_sw: &Switch = w.device(d);
+    let dut_frames = (dut_sw.counters.rx_frames, dut_sw.counters.tx_frames);
+    drop(w); // folds the world's event counters into this thread's profile
+    ((sent, received), dut_frames, metrics::profile_snapshot().delta_since(&before))
+}
+
+#[test]
+fn two_switch_testbed_fig8() {
+    let ((sent, received), (dut_rx, dut_tx), profile) = run_fig8(1);
     assert!(sent > 0);
     // Everything sent comes back through the DUT (minus in-flight).
     assert!(received > 0 && sent - received < 10 * 256, "sent {sent} received {received}");
+    assert_eq!(dut_tx, dut_rx);
 
-    let dut_sw: &Switch = w.device(d);
-    assert_eq!(dut_sw.counters.tx_frames, dut_sw.counters.rx_frames);
+    // The two switches sit across 1 µs cables, so the run partitions: one
+    // engine each gives the same results and — the engines' counters being
+    // folded back into the owning world and thread — the same profile.
+    let (queries2, dut2, profile2) = run_fig8(2);
+    assert_eq!((queries2, dut2), ((sent, received), (dut_rx, dut_tx)));
+    for p in [&profile, &profile2] {
+        assert!(p.events > 0 && p.ops_retired > 0, "{p:?}");
+        assert_eq!(p.by_kind.iter().sum::<u64>(), p.events, "{p:?}");
+    }
+    assert_eq!(profile2.events, profile.events);
+    assert_eq!(profile2.by_kind, profile.by_kind);
+    assert_eq!(profile2.ops_retired, profile.ops_retired);
 }
 
 /// Fault injection: on a lossy link, the receive-side query counts exactly
