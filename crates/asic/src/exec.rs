@@ -966,30 +966,6 @@ pub fn vector_plan(
             CStep::Extern { .. } => unreachable!("externs rejected above"),
         })
         .collect();
-    // Plan-shape tracing (set HT_VEC_DEBUG=1): one line per accepted
-    // plan — column count and per-step matcher shape — for attributing
-    // vector throughput to table representations without a profiler.
-    if std::env::var_os("HT_VEC_DEBUG").is_some() {
-        let shapes: Vec<String> = prog
-            .steps
-            .iter()
-            .map(|s| match s {
-                CStep::Table(t) => format!(
-                    "{}(acts={},gw={},keys={})",
-                    match build_vmatcher(t) {
-                        VMatcher::Dense => "dense",
-                        VMatcher::Hashed { .. } => "hashed",
-                        VMatcher::Scalar => "scalar",
-                    },
-                    t.actions.len(),
-                    t.gateways.len(),
-                    t.key_fields.len()
-                ),
-                CStep::Extern { .. } => "extern".into(),
-            })
-            .collect();
-        eprintln!("vector_plan: cols={} steps=[{}]", cols.len(), shapes.join(" "));
-    }
     Ok(VectorPlan {
         col_of: col_of.into_boxed_slice(),
         cols: cols.into_boxed_slice(),

@@ -1,11 +1,12 @@
 //! Experiment runners — one function per table/figure of the paper's §7.
 //!
 //! Each function returns the data series the corresponding plot/table
-//! shows; the `src/bin/*` binaries print them next to the paper's reported
-//! values, and `run_experiments` aggregates everything for EXPERIMENTS.md.
+//! shows; the [`crate::suite`] jobs print them next to the paper's reported
+//! values and check them, and `htctl bench --md` writes the run ledger
+//! into EXPERIMENTS.md.
 
 use crate::apps;
-use crate::harness::{run, tester_switch, RunSpec};
+use crate::harness::{run, RunSpec};
 use ht_asic::time::{ms, us, SimTime, PS_PER_SEC};
 use ht_asic::LinkSpec;
 use ht_baseline::ratectl::{timestamp_error, RateControlMode, TimestampMode};
@@ -93,7 +94,7 @@ pub fn fig9_ht_single_port(speed_bps: u64, sizes: &[usize]) -> Vec<ThroughputPoi
         .iter()
         .map(|&len| {
             let src = throughput_src(len);
-            let r = run(RunSpec {
+            let ports = run(RunSpec {
                 src: &src,
                 frame_len: len,
                 speed_bps,
@@ -103,8 +104,8 @@ pub fn fig9_ht_single_port(speed_bps: u64, sizes: &[usize]) -> Vec<ThroughputPoi
             });
             ThroughputPoint {
                 frame_len: len,
-                mpps: r.ports[0].pps / 1e6,
-                l1_gbps: r.ports[0].l1_gbps,
+                mpps: ports[0].pps / 1e6,
+                l1_gbps: ports[0].l1_gbps,
                 line_mpps: line_rate_pps(len, speed_bps) / 1e6,
             }
         })
@@ -135,14 +136,14 @@ pub fn fig10_ht_multi_port(max_ports: u16) -> Vec<(u16, f64)> {
     (1..=max_ports)
         .map(|ports| {
             let src = multiport_src(64, ports);
-            let r = run(RunSpec {
+            let measured = run(RunSpec {
                 src: &src,
                 ports,
                 warmup: ms(1),
                 window: ms(1),
                 ..Default::default()
             });
-            let total: f64 = r.ports.iter().map(|p| p.l1_gbps).sum();
+            let total: f64 = measured.iter().map(|p| p.l1_gbps).sum();
             (ports, total)
         })
         .collect()
@@ -202,7 +203,7 @@ pub fn ht_rate_control_with_copies(
     );
     // Window sized for ≈30k samples, capped to keep big sweeps fast.
     let window = (interval_ps * 30_000).clamp(ms(1), ms(50));
-    let r = run(RunSpec {
+    let ports = run(RunSpec {
         src: &src,
         frame_len,
         speed_bps,
@@ -214,7 +215,7 @@ pub fn ht_rate_control_with_copies(
     });
     let target_ns = interval_ps as f64 / 1000.0;
     let metrics =
-        ErrorMetrics::against_target(&r.ports[0].gaps_ns, target_ns).expect("no packets arrived");
+        ErrorMetrics::against_target(&ports[0].gaps_ns, target_ns).expect("no packets arrived");
     RateControlPoint { rate_pps: rate_pps as f64, frame_len, metrics }
 }
 
@@ -714,15 +715,15 @@ pub struct SynFloodReport {
 
 /// Runs the SYN-flood task on four 100G ports and extrapolates.
 pub fn table8_synflood() -> SynFloodReport {
-    let r = run(RunSpec {
+    let ports = run(RunSpec {
         src: apps::SYN_FLOOD,
         ports: 4,
         warmup: ms(1),
         window: ms(1),
         ..Default::default()
     });
-    let mpps: f64 = r.ports.iter().map(|p| p.pps).sum::<f64>() / 1e6;
-    let gbps: f64 = r.ports.iter().map(|p| p.l1_gbps).sum();
+    let mpps: f64 = ports.iter().map(|p| p.pps).sum::<f64>() / 1e6;
+    let gbps: f64 = ports.iter().map(|p| p.l1_gbps).sum();
     let est_tbps = 6.5 * 0.8;
     let est_mpps = est_tbps * 1e12 / ((64.0 + 20.0) * 8.0) / 1e6;
     SynFloodReport {
@@ -733,9 +734,4 @@ pub fn table8_synflood() -> SynFloodReport {
         est_mpps,
         est_agents: est_tbps * 1e12 / 1e6,
     }
-}
-
-/// Helper shared with binaries: the switch of a finished run.
-pub fn run_switch(r: &crate::harness::HtRun) -> &ht_asic::Switch {
-    tester_switch(r)
 }

@@ -2,8 +2,8 @@
 //! run with a warm-up window, and collect per-port measurements.
 
 use ht_asic::time::{ms, SimTime};
-use ht_asic::{DeviceId, LinkSpec, SimThreads, Switch, World};
-use ht_core::{build, BuiltTester, TesterConfig};
+use ht_asic::{LinkSpec, SimThreads, World};
+use ht_core::{build, TesterConfig};
 use ht_cpu::SwitchCpu;
 use ht_dut::Sink;
 use ht_ntapi::{compile, parse};
@@ -19,20 +19,6 @@ pub struct PortMeasurement {
     pub l2_gbps: f64,
     /// Inter-arrival gaps in nanoseconds (when arrival logging was on).
     pub gaps_ns: Vec<f64>,
-}
-
-/// A complete testbed run: tester → sink on `ports` ports.
-pub struct HtRun {
-    /// Per-port measurements, indexed by port.
-    pub ports: Vec<PortMeasurement>,
-    /// The world after the run (for further inspection).
-    pub world: World,
-    /// Tester device id.
-    pub tester: DeviceId,
-    /// Sink device id.
-    pub sink: DeviceId,
-    /// The built tester handles.
-    pub built: BuiltTester,
 }
 
 /// Configuration of a harness run.
@@ -70,15 +56,16 @@ impl Default for RunSpec<'_> {
     }
 }
 
-/// The tester config for a spec's port layout.
-fn config(ports: u16, speed_bps: u64) -> TesterConfig {
-    TesterConfig::builder().ports(ports).speed_bps(speed_bps).build().expect("tester config")
-}
-
-/// Runs a spec and returns the measurements.
-pub fn run(spec: RunSpec<'_>) -> HtRun {
+/// Runs a spec (tester → sink on `spec.ports` ports) and returns the
+/// per-port measurements, indexed by port.
+pub fn run(spec: RunSpec<'_>) -> Vec<PortMeasurement> {
     let task = compile(&parse(spec.src).expect("parse")).expect("compile");
-    let mut built = build(&task, &config(spec.ports, spec.speed_bps)).expect("build");
+    let config = TesterConfig::builder()
+        .ports(spec.ports)
+        .speed_bps(spec.speed_bps)
+        .build()
+        .expect("tester config");
+    let mut built = build(&task, &config).expect("build");
     let mut templates = Vec::new();
     for i in 0..built.templates.len() {
         let copies = spec.copies.unwrap_or_else(|| built.copies_for_line_rate(i, spec.speed_bps));
@@ -101,7 +88,7 @@ pub fn run(spec: RunSpec<'_>) -> HtRun {
     world.device_mut::<Sink>(sink_id).reset();
     world.run_until(spec.warmup + spec.window);
 
-    let ports = (0..spec.ports)
+    (0..spec.ports)
         .map(|p| {
             let s: &Sink = world.device(sink_id);
             let stats = s.ports.get(&p).cloned().unwrap_or_default();
@@ -113,17 +100,5 @@ pub fn run(spec: RunSpec<'_>) -> HtRun {
                 gaps_ns: s.inter_arrivals_ns(p),
             }
         })
-        .collect();
-
-    // `built.switch` moved into the world; retain a handle-only clone by
-    // rebuilding the metadata part.  (Handles reference registers by id,
-    // valid against the in-world switch.)
-    let built_handles =
-        build(&task, &config(spec.ports, spec.speed_bps)).expect("rebuild for handles");
-    HtRun { ports, world, tester, sink: sink_id, built: built_handles }
-}
-
-/// Access to the in-world tester switch after a run.
-pub fn tester_switch(run: &HtRun) -> &Switch {
-    run.world.device(run.tester)
+        .collect()
 }

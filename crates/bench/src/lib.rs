@@ -7,12 +7,14 @@
 //! * [`resources`] — the Table 7 resource accounting.
 //! * [`ablations`] — design ablations (sketches, precision, cuckoo).
 //! * [`suite`] — every experiment as a typed `ht_harness::Experiment`
-//!   job for the parallel runner (`htctl bench`).
+//!   job for the parallel runner.
 //!
-//! The binaries in `src/bin/` are thin wrappers over [`suite`]
-//! (`cargo run --release -p ht-bench --bin fig09_throughput_single`
-//! etc.); `run_experiments` is the suite front end.  Criterion benches
-//! in `benches/` measure the underlying kernels.
+//! This crate is a library only.  `htctl bench` is the one front end:
+//! `htctl bench --filter fig09` regenerates and prints one table or
+//! figure, `htctl bench --baseline BENCH.json` is the exact digest and
+//! event-count gate.  Nothing here gates on time (`wall_ms` and
+//! `events_per_sec` in `BENCH.json` are informational); the kernels and
+//! end-to-end workloads are timed by the standalone crate in `benchmark/`.
 
 #![forbid(unsafe_code)]
 

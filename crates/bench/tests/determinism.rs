@@ -10,7 +10,7 @@ use ht_harness::Scale;
 use proptest::prelude::*;
 
 /// A cheap subset of the suite (the fast analytic experiments) — enough
-/// jobs to exercise real work stealing at 8 workers.
+/// jobs to spread over several of the 8 workers.
 fn subset() -> Vec<Box<dyn ht_harness::Experiment>> {
     ht_bench::suite::all()
         .into_iter()

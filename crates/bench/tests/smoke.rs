@@ -1,6 +1,6 @@
 //! Smoke tests for the experiment harness: scaled-down versions of each
-//! regenerator, so `cargo test` catches harness regressions without the
-//! full `run_experiments` pass.
+//! regenerator, so `cargo test` catches harness regressions without a
+//! full `htctl bench` pass.
 
 use ht_baseline::ratectl::RateControlMode;
 use ht_bench::ablations::{accuracy_ablation, cuckoo_occupancy};

@@ -1,13 +1,12 @@
-//! Command-line front end shared by `htctl bench` and the
-//! `run_experiments` binary, plus the `run_single` wrapper used by the
-//! thin per-experiment binaries.
+//! The `htctl bench` command-line front end: the one way to run the
+//! suite or a `--filter`ed part of it.
 //!
 //! Exit-code contract (the same one `htctl lint --json` documents):
-//! `0` success, `1` failures (checks, panics, regressions, IO), `2` usage
-//! errors.
+//! `0` success, `1` failures (checks, panics, regressions, IO), `2`
+//! usage errors.
 
 use crate::report::{compare_to_baseline, BenchReport};
-use crate::runner::{run_job, run_suite};
+use crate::runner::run_suite;
 use crate::{Experiment, Scale};
 use std::time::Instant;
 
@@ -27,10 +26,9 @@ pub struct BenchOpts {
     pub json: bool,
     /// Write the JSON report to this path.
     pub out: Option<String>,
-    /// Compare events/sec against this committed baseline.
+    /// Compare result digests and event counts against this committed
+    /// baseline (an exact gate: any difference fails the run).
     pub baseline: Option<String>,
-    /// Regression threshold in percent for the baseline comparison.
-    pub fail_threshold: f64,
     /// Write/refresh the markdown run ledger in this file.
     pub md: Option<String>,
     /// Only run experiments whose name contains this substring.
@@ -52,7 +50,6 @@ impl Default for BenchOpts {
             json: false,
             out: None,
             baseline: None,
-            fail_threshold: 20.0,
             md: None,
             filter: None,
             list: false,
@@ -64,7 +61,7 @@ impl Default for BenchOpts {
 
 /// Usage text for the `bench` subcommand.
 pub const BENCH_USAGE: &str = "usage: bench [--smoke] [--workers N] [--sim-threads N] [--json] \
-     [--out FILE] [--baseline FILE] [--fail-threshold PCT] [--md FILE] [--filter SUBSTR] [--list] \
+     [--out FILE] [--baseline FILE] [--md FILE] [--filter SUBSTR] [--list] \
      [--exec interp|compiled|vector] [--profile]";
 
 /// Parses `bench` arguments.  Unknown flags are usage errors.
@@ -97,11 +94,6 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOpts, String> {
             }
             "--out" => o.out = Some(value(&mut it, "--out")?),
             "--baseline" => o.baseline = Some(value(&mut it, "--baseline")?),
-            "--fail-threshold" => {
-                o.fail_threshold = value(&mut it, "--fail-threshold")?
-                    .parse()
-                    .map_err(|_| "--fail-threshold needs a number".to_string())?;
-            }
             "--md" => o.md = Some(value(&mut it, "--md")?),
             "--filter" => o.filter = Some(value(&mut it, "--filter")?),
             "--profile" => o.profile = true,
@@ -183,6 +175,9 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
 
     // With --json on stdout, progress must not pollute the report.
     let progress_to_stderr = opts.json && opts.out.is_none();
+    // A filtered human-readable run is someone regenerating a table or
+    // figure: show it, not just its verdict.
+    let show_output = opts.filter.is_some() && !opts.json;
     let start = Instant::now();
     let results = run_suite(&suite, opts.workers, opts.scale, |p| {
         let line = format!(
@@ -197,6 +192,15 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
             eprintln!("{line}");
         } else {
             println!("{line}");
+        }
+        if show_output {
+            for line in &p.output.lines {
+                println!("{line}");
+            }
+            println!();
+            for c in &p.output.checks {
+                println!("{} {}: {}", if c.pass { "PASS" } else { "FAIL" }, c.name, c.detail);
+            }
         }
     });
     let report = BenchReport {
@@ -244,7 +248,7 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
     if let Some(path) = &opts.baseline {
         match std::fs::read_to_string(path) {
             Ok(base) => {
-                for reg in compare_to_baseline(&report, &base, opts.fail_threshold) {
+                for reg in compare_to_baseline(&report, &base) {
                     if reg.fatal {
                         eprintln!("REGRESSION: {}", reg.message);
                         code = 1;
@@ -273,32 +277,6 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
     code
 }
 
-/// Runs one experiment at full scale on the current thread, printing its
-/// output and check verdicts — the body of each thin per-experiment
-/// binary.  Returns the process exit code.
-pub fn run_single(exp: &dyn Experiment) -> i32 {
-    let r = run_job(exp, Scale::Full);
-    for line in &r.output.lines {
-        println!("{line}");
-    }
-    println!();
-    for c in &r.output.checks {
-        println!("{} {}: {}", if c.pass { "PASS" } else { "FAIL" }, c.name, c.detail);
-    }
-    if let Some(p) = &r.panicked {
-        eprintln!("panicked: {p}");
-    }
-    println!(
-        "\n{} — {:.1} ms, {} events, {:.2e} events/sec, peak queue {}",
-        if r.ok { "OK" } else { "FAILED" },
-        r.wall_ms,
-        r.events,
-        r.events_per_sec,
-        r.peak_queue_depth,
-    );
-    i32::from(!r.ok)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,8 +290,6 @@ mod tests {
             "--sim-threads",
             "2",
             "--json",
-            "--fail-threshold",
-            "15",
             "--exec",
             "interp",
             "--profile",
@@ -326,7 +302,6 @@ mod tests {
         assert_eq!(o.workers, 4);
         assert_eq!(o.sim_threads, 2);
         assert!(o.json);
-        assert!((o.fail_threshold - 15.0).abs() < 1e-9);
         assert_eq!(o.exec, ht_asic::ExecMode::Interp);
         assert!(o.profile);
     }

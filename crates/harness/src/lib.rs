@@ -4,17 +4,18 @@
 //! simulations — embarrassingly parallel across experiments even though
 //! each simulation world is strictly single-threaded.  This crate turns
 //! each table/figure regenerator into a typed [`Experiment`] job and runs
-//! the whole suite on a work-stealing thread pool:
+//! the whole suite on a thread pool fed by an LPT list scheduler:
 //!
 //! * [`Experiment`] — the job interface: buffered output lines, named
 //!   pass/fail [`Check`]s (replacing ad-hoc `assert!`s in binaries), and
 //!   optional machine-readable extras.
-//! * [`runner`] — the work-stealing scheduler with streamed per-job
+//! * [`runner`] — the LPT list scheduler with streamed per-job
 //!   progress; results keep suite order regardless of worker count.
 //! * [`report`] — `BENCH.json` serialization, a markdown run ledger, and
-//!   events/sec regression comparison against a committed baseline.
-//! * [`cli`] — the `htctl bench` command-line front end plus the
-//!   `run_single` wrapper the thin per-experiment binaries use.
+//!   the exact (digest + event count) comparison against a committed
+//!   baseline.  Nothing here gates on time: timing is `benchmark/`'s job.
+//! * [`cli`] — the `htctl bench` command-line front end, the one way to
+//!   run the suite or a `--filter`ed part of it.
 //!
 //! Determinism contract: an experiment's `lines`, `checks`, and `extras`
 //! must depend only on its inputs (simulated time, seeds), never on wall
@@ -237,8 +238,8 @@ pub trait Experiment: Send + Sync {
     /// Runs the experiment at `scale` and returns its buffered results.
     ///
     /// Sharded experiments get this for free — the default runs every
-    /// shard serially and merges, so `run_single` and the thin binaries
-    /// produce byte-identical output to the sharded parallel path by
+    /// shard serially and merges, so a serial `runner::run_job` produces
+    /// byte-identical output to the sharded parallel path by
     /// construction.  Monolithic experiments must override it.
     fn run(&self, scale: Scale) -> RunOutput {
         let shards = self.shards(scale);

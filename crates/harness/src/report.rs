@@ -1,11 +1,13 @@
-//! `BENCH.json` serialization, the markdown run ledger, and baseline
-//! regression comparison.
+//! `BENCH.json` serialization, the markdown run ledger, and the exact
+//! baseline comparison.
 //!
 //! The JSON is hand-rolled (the workspace vendors no serde): every
 //! experiment entry is emitted on its own line with a fixed field order,
 //! so baselines diff cleanly and the comparison parser can stay a simple
 //! line scanner.  Timing fields (`wall_ms`, `events_per_sec`) vary run to
-//! run; the deterministic payload is fingerprinted by `digest`.
+//! run and are reported, never gated (timing is measured by `benchmark/`);
+//! the deterministic payload is fingerprinted by `digest`, and `events`
+//! is a pure function of code and scale.
 
 use crate::runner::JobResult;
 use crate::Scale;
@@ -188,20 +190,13 @@ pub struct Regression {
 
 /// Compares a fresh report against a committed `BENCH.json` baseline.
 ///
-/// Fails an experiment when its events/sec drops more than
-/// `threshold_pct` below the baseline, or when its deterministic result
-/// digest differs from the baseline's (same scale ⇒ same seeds ⇒ same
-/// payload — a digest change is behavioral drift, not noise).
-/// Per-experiment `wall_ms` drift beyond the same threshold (in either
-/// direction) is reported as a **warn-only** note: wall clock is too
-/// machine-dependent to gate on, but a 2× swing is worth a look.
-/// Scale mismatches and missing experiments produce non-fatal notes
-/// (the line-oriented parse tolerates hand-edited or older baselines).
-pub fn compare_to_baseline(
-    report: &BenchReport,
-    baseline_json: &str,
-    threshold_pct: f64,
-) -> Vec<Regression> {
+/// Only what is a pure function of code and scale is compared, and any
+/// difference is fatal: an experiment's deterministic result `digest`
+/// (same scale ⇒ same seeds ⇒ same payload) and its simulated `events`
+/// count.  Scale mismatches and missing experiments produce non-fatal
+/// notes (the line-oriented parse tolerates hand-edited or older
+/// baselines).
+pub fn compare_to_baseline(report: &BenchReport, baseline_json: &str) -> Vec<Regression> {
     let mut out = Vec::new();
     if let Some(scale) = baseline_json.lines().find_map(|l| field(l, "scale")) {
         if scale != report.scale.name() {
@@ -219,9 +214,6 @@ pub fn compare_to_baseline(
     let mut seen_any = false;
     for line in baseline_json.lines() {
         let Some(name) = field(line, "name") else { continue };
-        let Some(eps) = field(line, "events_per_sec").and_then(|v| v.parse::<f64>().ok()) else {
-            continue;
-        };
         seen_any = true;
         let Some(now) = report.results.iter().find(|r| r.name == name) else {
             out.push(Regression {
@@ -242,33 +234,17 @@ pub fn compare_to_baseline(
                 });
             }
         }
-        if let Some(base_wall) = field(line, "wall_ms").and_then(|v| v.parse::<f64>().ok()) {
-            if base_wall > 0.0 {
-                let drift_pct = (now.wall_ms - base_wall) / base_wall * 100.0;
-                if drift_pct.abs() > threshold_pct {
-                    out.push(Regression {
-                        fatal: false,
-                        message: format!(
-                            "{name}: wall_ms drifted {drift_pct:+.1}% ({base_wall:.1} -> {:.1} ms; \
-                             informational only)",
-                            now.wall_ms
-                        ),
-                    });
-                }
+        if let Some(events) = field(line, "events").and_then(|v| v.parse::<u64>().ok()) {
+            if events != now.events {
+                out.push(Regression {
+                    fatal: true,
+                    message: format!(
+                        "{name}: simulated {} events, baseline {events}; \
+                         the event count is deterministic at a given scale",
+                        now.events
+                    ),
+                });
             }
-        }
-        if eps <= 0.0 {
-            continue; // nothing measurable in the baseline entry
-        }
-        let change_pct = (now.events_per_sec - eps) / eps * 100.0;
-        if change_pct < -threshold_pct {
-            out.push(Regression {
-                fatal: true,
-                message: format!(
-                    "{name}: events/sec regressed {:.1}% ({:.3e} -> {:.3e}, threshold {threshold_pct}%)",
-                    -change_pct, eps, now.events_per_sec
-                ),
-            });
         }
     }
     if !seen_any {
@@ -326,12 +302,16 @@ mod tests {
     }
 
     #[test]
-    fn regression_detected_beyond_threshold() {
+    fn timing_never_gates_but_an_events_mismatch_does() {
+        // Ten times slower than the baseline, same digest and events.
         let baseline = report(1000.0).to_json();
-        let regs = compare_to_baseline(&report(700.0), &baseline, 20.0);
-        assert!(regs.iter().any(|r| r.fatal), "{regs:?}");
-        let regs = compare_to_baseline(&report(900.0), &baseline, 20.0);
-        assert!(regs.iter().all(|r| !r.fatal), "{regs:?}");
+        let mut run = report(100.0);
+        run.results[0].wall_ms = 100.0;
+        assert!(compare_to_baseline(&run, &baseline).is_empty());
+        run.results[0].events += 1;
+        let regs = compare_to_baseline(&run, &baseline);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].fatal && regs[0].message.contains("a: simulated 1001 events"), "{regs:?}");
     }
 
     #[test]
@@ -339,24 +319,8 @@ mod tests {
         let baseline = report(1000.0).to_json();
         let mut run = report(1000.0);
         run.results[0].digest = 0xbeef;
-        let regs = compare_to_baseline(&run, &baseline, 20.0);
+        let regs = compare_to_baseline(&run, &baseline);
         assert!(regs.iter().any(|r| r.fatal && r.message.contains("digest drifted")), "{regs:?}");
-    }
-
-    #[test]
-    fn wall_ms_drift_is_warn_only() {
-        let baseline = report(1000.0).to_json();
-        let mut run = report(1000.0);
-        run.results[0].wall_ms = 100.0; // 10 -> 100 ms: way past 20%
-        let regs = compare_to_baseline(&run, &baseline, 20.0);
-        let drift: Vec<_> = regs.iter().filter(|r| r.message.contains("wall_ms drifted")).collect();
-        assert_eq!(drift.len(), 1, "{regs:?}");
-        assert!(!drift[0].fatal, "wall drift must not fail the run");
-        // Within threshold: no note at all.
-        let mut quiet = report(1000.0);
-        quiet.results[0].wall_ms = 11.0;
-        let regs = compare_to_baseline(&quiet, &baseline, 20.0);
-        assert!(regs.iter().all(|r| !r.message.contains("wall_ms drifted")), "{regs:?}");
     }
 
     #[test]
@@ -372,7 +336,7 @@ mod tests {
     fn scale_mismatch_is_note_not_failure() {
         let mut base = report(1000.0);
         base.scale = Scale::Full;
-        let regs = compare_to_baseline(&report(1.0), &base.to_json(), 20.0);
+        let regs = compare_to_baseline(&report(1.0), &base.to_json());
         assert_eq!(regs.len(), 1);
         assert!(!regs[0].fatal);
     }

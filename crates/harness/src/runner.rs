@@ -1,11 +1,13 @@
-//! The work-stealing scheduler.
+//! The LPT list scheduler.
 //!
 //! All work is known up front, so scheduling is simple: units of work are
-//! dealt round-robin into per-worker deques in descending weight order (an
-//! LPT schedule — the heaviest work starts first), each worker drains its
-//! own deque from the front and steals from peers' backs when empty.
-//! Workers are plain scoped threads; per-experiment progress streams over
-//! a channel to the caller's callback while the pool runs.
+//! sorted by descending weight and each free worker takes the next unit
+//! off that one list through a shared atomic cursor — the longest-
+//! processing-time-first list schedule (the heaviest work starts first,
+//! and no worker idles while a unit is unclaimed).  Workers are plain
+//! scoped threads; finished experiments stream over a channel to the
+//! calling thread, which stores them by suite index and runs the caller's
+//! progress callback while the pool works.
 //!
 //! A unit of work is either a whole monolithic experiment or one
 //! [`Shard`] of a sharded experiment ([`Experiment::shards`]).  Shards of
@@ -22,8 +24,8 @@
 //! the per-shard maximum for queue depth).
 
 use crate::{result_digest, Experiment, RunOutput, Scale, Shard};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -67,7 +69,7 @@ pub struct JobResult {
 
 /// A progress event streamed while the suite runs.
 #[derive(Debug, Clone)]
-pub struct Progress {
+pub struct Progress<'a> {
     /// Experiments finished so far (including this one).
     pub done: usize,
     /// Total experiments.
@@ -78,6 +80,8 @@ pub struct Progress {
     pub ok: bool,
     /// Its wall-clock duration in milliseconds (summed over shards).
     pub wall_ms: f64,
+    /// Its buffered output lines and check verdicts.
+    pub output: &'a RunOutput,
 }
 
 /// One measured execution of a closure: counters, wall clock, and either
@@ -231,7 +235,7 @@ pub fn run_suite(
     suite: &[Box<dyn Experiment>],
     workers: usize,
     scale: Scale,
-    mut on_progress: impl FnMut(&Progress),
+    mut on_progress: impl FnMut(&Progress<'_>),
 ) -> Vec<JobResult> {
     let workers = workers.max(1);
     let total = suite.len();
@@ -254,41 +258,23 @@ pub fn run_suite(
         })
         .collect();
 
-    // LPT deal: heaviest first, round-robin across workers.
+    // LPT list: heaviest first; the cursor hands each free worker the
+    // next unit.  Relaxed suffices: the cursor publishes no other data
+    // (`units`/`order` are immutable and shared by the scope).
     let mut order: Vec<usize> = (0..units.len()).collect();
     order.sort_by_key(|&u| std::cmp::Reverse(units[u].weight));
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (pos, &u) in order.iter().enumerate() {
-        queues[pos % workers].lock().unwrap().push_back(u);
-    }
+    let cursor = AtomicUsize::new(0);
 
-    let results: Vec<Mutex<Option<JobResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let (tx, rx) = mpsc::channel::<Progress>();
-    let done = std::sync::atomic::AtomicUsize::new(0);
+    let mut results: Vec<Option<JobResult>> = vec![None; total];
+    let (tx, rx) = mpsc::channel::<(usize, JobResult)>();
 
     std::thread::scope(|s| {
-        for me in 0..workers {
+        for _ in 0..workers {
             let tx = tx.clone();
-            let queues = &queues;
-            let results = &results;
-            let done = &done;
-            let units = &units;
-            let shard_sets = &shard_sets;
-            let pending = &pending;
+            let (order, cursor, units) = (&order, &cursor, &units);
+            let (shard_sets, pending) = (&shard_sets, &pending);
             s.spawn(move || {
-                loop {
-                    // Own queue front first; then steal from peers' backs.
-                    // The own-queue guard must be gone before stealing:
-                    // two idle workers each holding their own lock while
-                    // reaching for the other's deadlock.
-                    let own = queues[me].lock().unwrap().pop_front();
-                    let unit = own.or_else(|| {
-                        (0..queues.len())
-                            .filter(|&q| q != me)
-                            .find_map(|q| queues[q].lock().unwrap().pop_back())
-                    });
-                    let Some(u) = unit else { break };
+                while let Some(&u) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     let Unit { exp, shard, .. } = units[u];
                     let r = match shard {
                         None => Some(run_job(suite[exp].as_ref(), scale)),
@@ -310,26 +296,27 @@ pub fn run_suite(
                             }
                         }
                     };
-                    let Some(r) = r else { continue };
-                    let p = Progress {
-                        done: done.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1,
-                        total,
-                        name: r.name.clone(),
-                        ok: r.ok,
-                        wall_ms: r.wall_ms,
-                    };
-                    *results[exp].lock().unwrap() = Some(r);
-                    let _ = tx.send(p);
+                    if let Some(r) = r {
+                        let _ = tx.send((exp, r));
+                    }
                 }
             });
         }
         drop(tx);
-        for p in rx {
-            on_progress(&p);
+        for (done, (exp, r)) in rx.into_iter().enumerate() {
+            on_progress(&Progress {
+                done: done + 1,
+                total,
+                name: r.name.clone(),
+                ok: r.ok,
+                wall_ms: r.wall_ms,
+                output: &r.output,
+            });
+            results[exp] = Some(r);
         }
     });
 
-    results.into_iter().map(|m| m.into_inner().unwrap().expect("job ran")).collect()
+    results.into_iter().map(|r| r.expect("job ran")).collect()
 }
 
 #[cfg(test)]
@@ -490,7 +477,7 @@ mod tests {
         assert_eq!(sq.output.lines[0], "3^2 = 9");
         assert_eq!(sq.output.lines[4], "5^2 = 25");
         assert_eq!(sq.output.lines[5], "sum = 52");
-        // The serial `run_job` path (run_single, thin binaries) matches too.
+        // The serial `run_job` path matches too.
         let single = run_job(&Squares { inputs: vec![3, 1, 4, 1, 5], panic_at: None }, Scale::Full);
         assert_eq!(single.digest, sq.digest);
         assert_eq!(single.shards, 5);

@@ -26,8 +26,8 @@
 //!                                         run against a sink testbed and
 //!                                         print throughput + query results
 //! htctl bench [--smoke] [--workers N] [--sim-threads N] [--json] [--out FILE]
-//!             [--baseline FILE] [--fail-threshold PCT] [--md FILE]
-//!             [--filter SUBSTR] [--list] [--exec interp|compiled|vector] [--profile]
+//!             [--baseline FILE] [--md FILE] [--filter SUBSTR] [--list]
+//!             [--exec interp|compiled|vector] [--profile]
 //!                                         run the experiment suite on the
 //!                                         parallel harness; write BENCH.json
 //! ```
@@ -67,7 +67,7 @@ fn usage() -> ExitCode {
          htctl run [--json] <task.nt> [--ports N] [--speed GBPS] [--duration MS] [--copies N]\n              \
          [--sim-threads N] [--exec interp|compiled|vector]\n  \
          htctl bench [--smoke] [--workers N] [--sim-threads N] [--json] [--out FILE]\n              \
-         [--baseline FILE] [--fail-threshold PCT] [--md FILE] [--filter SUBSTR] [--list]\n              \
+         [--baseline FILE] [--md FILE] [--filter SUBSTR] [--list]\n              \
          [--exec interp|compiled|vector] [--profile]"
     );
     ExitCode::from(2)

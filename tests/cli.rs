@@ -175,7 +175,9 @@ fn usage_errors_exit_two_everywhere() {
     let (_, _, none) = htctl_code(&[]);
     let (_, _, compile) = htctl_code(&["compile"]);
     let (_, _, bench) = htctl_code(&["bench", "--bogus"]);
-    assert_eq!((none, compile, bench), (2, 2, 2));
+    // The baseline check is exact; there is no threshold to set.
+    let (_, _, threshold) = htctl_code(&["bench", "--fail-threshold", "20"]);
+    assert_eq!((none, compile, bench, threshold), (2, 2, 2, 2));
 }
 
 #[test]
@@ -196,6 +198,49 @@ fn bench_smoke_filter_emits_bench_json() {
     assert!(stdout.contains("\"scale\": \"smoke\""), "{stdout}");
     assert!(stdout.contains("\"name\":\"table5_loc\""), "{stdout}");
     assert!(stdout.contains("\"digest\":"), "{stdout}");
+}
+
+#[test]
+fn bench_smoke_filter_prints_the_regenerated_figure() {
+    let (stdout, stderr, code) = htctl_code(&["bench", "--smoke", "--filter", "fig15"]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    let progress = stdout.find("fig15_replicator").expect("progress line");
+    let title = stdout.find("Fig. 15 — multicast engine delay").expect("figure title");
+    assert!(progress < title, "output follows its progress line: {stdout}");
+    assert!(stdout.lines().any(|l| l.starts_with("PASS ")), "{stdout}");
+}
+
+#[test]
+fn bench_baseline_gates_digests_and_events_but_not_timing() {
+    let path = std::env::temp_dir().join(format!("htctl-baseline-{}.json", std::process::id()));
+    let path = path.to_str().unwrap();
+    let run = ["bench", "--smoke", "--workers", "1", "--filter", "fig18"];
+    let (report, _, ok) = htctl(&[&run[..], &["--json"]].concat());
+    assert!(ok, "{report}");
+    let field = |key: &str| {
+        let pat = format!("\"{key}\":");
+        let rest = &report[report.find(&pat).unwrap() + pat.len()..];
+        rest[..rest.find(',').unwrap()].to_string()
+    };
+    let gated = [&run[..], &["--baseline", path]].concat();
+
+    // A baseline ten times faster than this run: same digest, same events.
+    let eps = field("events_per_sec");
+    let fast = format!("{:.3}", eps.parse::<f64>().unwrap() * 10.0);
+    std::fs::write(path, report.replace(&eps, &fast)).unwrap();
+    let (_, stderr, code) = htctl_code(&gated);
+    assert_eq!(code, 0, "timing must not gate: {stderr}");
+
+    // One more event than this run simulates.
+    let events = field("events");
+    let off_by_one = (events.parse::<u64>().unwrap() + 1).to_string();
+    let altered =
+        report.replace(&format!("\"events\":{events},"), &format!("\"events\":{off_by_one},"));
+    std::fs::write(path, altered).unwrap();
+    let (_, stderr, code) = htctl_code(&gated);
+    let _ = std::fs::remove_file(path);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("REGRESSION: fig18_delay_case: simulated"), "{stderr}");
 }
 
 #[test]
