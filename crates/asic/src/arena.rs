@@ -15,7 +15,8 @@
 //! on another thread than it was drawn on simply joins that thread's pool.
 //! [`stats`] exposes hit/miss counters per thread so the optimization is
 //! provable — the benchmark harness records them per experiment in
-//! `BENCH.json`.
+//! `BENCH.json`.  A partitioned run folds its engine threads' counters into
+//! the owning thread's when the engines are joined.
 
 use std::cell::{Cell, RefCell};
 
@@ -88,6 +89,14 @@ pub fn stats() -> ArenaStats {
         reuses: REUSES.with(Cell::get),
         returns: RETURNS.with(Cell::get),
     }
+}
+
+/// Adds the counters an engine thread of a partitioned run accumulated to
+/// the calling (owning) thread's.
+pub(crate) fn absorb(engine: &ArenaStats) {
+    ALLOCS.with(|c| c.set(c.get() + engine.allocs));
+    REUSES.with(|c| c.set(c.get() + engine.reuses));
+    RETURNS.with(|c| c.set(c.get() + engine.returns));
 }
 
 #[cfg(test)]

@@ -40,10 +40,11 @@
 //! arrival time already assigned.  Only the owner of the loop moves those
 //! buffers, and only *between* `step_batch` calls, so nothing enters or
 //! leaves the queue behind a batch's back.  A partitioned engine calls
-//! `step_batch(u64::MAX, horizon)` with `horizon` the conservative bound
-//! below which no remote event can still arrive; both batching rules take
-//! events `≤ t_bound` only, so they hold per engine exactly as they do
-//! serially.  The serial world has one engine, hence no remote entries.
+//! `step_batch(u64::MAX, horizon − 1)` with `horizon` the conservative
+//! bound before which no remote event can still arrive; both batching
+//! rules take events `≤ t_bound` only, so they hold per engine exactly as
+//! they do serially.  The serial world has one engine, hence no remote
+//! entries.
 
 use crate::packet::SimPacket;
 use crate::phv::{fields, FieldId};
@@ -278,6 +279,11 @@ impl EventLoop {
 
     pub(crate) fn device_mut(&mut self, id: DeviceId) -> &mut dyn Device {
         self.devices[id].as_deref_mut().expect("device is owned by another engine")
+    }
+
+    /// The conservative lookahead `device` declared when it was added.
+    pub(crate) fn lookahead(&self, device: DeviceId) -> SimTime {
+        self.lookaheads[device]
     }
 
     pub(crate) fn engine_id(&self) -> usize {
@@ -636,13 +642,11 @@ impl EventLoop {
     /// Folds the engines of a finished partitioned run back in: devices
     /// and their counters return to their slots, leftover events are
     /// re-queued, statistics and histograms are summed and the engine
-    /// traces merged.  Returns the events the engines processed.
-    pub(crate) fn reassemble(&mut self, engines: Vec<EventLoop>) -> u64 {
-        let mut total = 0u64;
+    /// traces merged.
+    pub(crate) fn reassemble(&mut self, engines: Vec<EventLoop>) {
         let mut new_trace: Vec<TraceEntry> = Vec::new();
         for mut e in engines {
             debug_assert!(e.sends.iter().all(Vec::is_empty), "engine exited with unsent events");
-            total += e.stats.events;
             self.stats.events += e.stats.events;
             self.stats.dangling_emits += e.stats.dangling_emits;
             for (a, b) in self.batch_hist.iter_mut().zip(e.batch_hist) {
@@ -673,6 +677,5 @@ impl EventLoop {
                 self.trace.drain(..len - self.trace_depth);
             }
         }
-        total
     }
 }

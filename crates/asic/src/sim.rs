@@ -22,6 +22,7 @@
 
 use crate::evloop::{EventKind, EventLoop};
 use crate::packet::SimPacket;
+use crate::parallel::PartitionReport;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -573,6 +574,7 @@ impl WorldBuilder {
             core: EventLoop::new(StdRng::seed_from_u64(self.seed), self.trace),
             inj_ctr: 0,
             sim_threads: self.partitions,
+            last_partition: None,
             stats: WorldStats::default(),
         })
     }
@@ -609,6 +611,7 @@ pub struct World {
     /// Injection counter shared by pre- and mid-run injections.
     inj_ctr: u64,
     sim_threads: SimThreads,
+    last_partition: Option<PartitionReport>,
     /// Run statistics, as of the last [`step`](Self::step) or run call.
     pub stats: WorldStats,
 }
@@ -717,9 +720,10 @@ impl World {
     /// partitioned under the conservative-lookahead protocol; results are
     /// bit-identical to the serial loop either way.
     pub fn run_until(&mut self, t_end: SimTime) -> u64 {
-        let n = match crate::parallel::try_run_until(&mut self.core, self.sim_threads, t_end) {
-            Some(n) => n,
-            None => {
+        let report = crate::parallel::try_run_until(&mut self.core, self.sim_threads, t_end);
+        let n = match &report {
+            PartitionReport::Partitioned { engines, .. } => engines.iter().map(|e| e.events).sum(),
+            PartitionReport::Serial(_) => {
                 // Batches never take an event past `t_end`: both batching
                 // rules bound every follower by `t_bound`.
                 let mut n = 0;
@@ -729,9 +733,17 @@ impl World {
                 n
             }
         };
+        self.last_partition = Some(report);
         self.core.advance_to(t_end);
         self.stats = self.core.stats();
         n
+    }
+
+    /// What the partitioner decided for the most recent
+    /// [`run_until`](Self::run_until): the engines it used, or why the run
+    /// stayed serial.  `None` before the first `run_until`.
+    pub fn last_partition(&self) -> Option<&PartitionReport> {
+        self.last_partition.as_ref()
     }
 
     /// Runs until the queue is empty or `max_events` is hit (a runaway

@@ -1426,9 +1426,14 @@ impl Experiment for FuzzThroughput {
 
 /// One partitioned run of the scaling fixture: a ring of forwarders with
 /// microsecond link delays (the lookahead), packets circulating until
-/// `t_end`.  Returns per-forwarder forwarded counts, total events, and the
-/// wall-clock seconds.
-fn scaling_run(engines: usize, hops: usize, packets: u64, t_end: u64) -> (Vec<u64>, u64, f64) {
+/// `t_end`.  Returns per-forwarder forwarded counts, total events, the
+/// wall-clock seconds, and the links the partitioner cut (0 when serial).
+fn scaling_run(
+    engines: usize,
+    hops: usize,
+    packets: u64,
+    t_end: u64,
+) -> (Vec<u64>, u64, f64, usize) {
     use ht_asic::time::us;
     let start = std::time::Instant::now();
     let mut w = World::builder()
@@ -1455,7 +1460,11 @@ fn scaling_run(engines: usize, hops: usize, packets: u64, t_end: u64) -> (Vec<u6
     let events = w.run_until(t_end);
     let wall = start.elapsed().as_secs_f64().max(1e-9);
     let counts = ids.iter().map(|&id| w.device::<Forwarder>(id).forwarded).collect();
-    (counts, events, wall)
+    let cut_links = match w.last_partition() {
+        Some(ht_asic::parallel::PartitionReport::Partitioned { cut_links, .. }) => *cut_links,
+        _ => 0,
+    };
+    (counts, events, wall, cut_links)
 }
 
 /// Event-engine scaling: events/sec of the partitioned world at 1, 2, 4
@@ -1496,7 +1505,7 @@ impl Experiment for SimScaling {
             &["engines", "events", "forwarded", "ev/s", "speedup"],
             &[7, 10, 10, 12, 8],
         );
-        let (base_counts, base_events, base_wall) = scaling_run(1, hops, packets, t_end);
+        let (base_counts, base_events, base_wall, _) = scaling_run(1, hops, packets, t_end);
         let base_fwd: u64 = base_counts.iter().sum();
         out.set_volatile(true);
         t.row(
@@ -1512,7 +1521,7 @@ impl Experiment for SimScaling {
         out.set_volatile(false);
         let mut best_speedup = 1.0f64;
         for engines in [2usize, 4, 8] {
-            let (counts, events, wall) = scaling_run(engines, hops, packets, t_end);
+            let (counts, events, wall, cut_links) = scaling_run(engines, hops, packets, t_end);
             let speedup = base_wall / wall;
             best_speedup = best_speedup.max(speedup);
             out.set_volatile(true);
@@ -1533,6 +1542,7 @@ impl Experiment for SimScaling {
                 format!("{} events vs {} serial", events, base_events),
             );
             r.extras.push((format!("eps_e{engines}"), format!("{:.3}", events as f64 / wall)));
+            r.extras.push((format!("cut_links_e{engines}"), cut_links.to_string()));
         }
         out.blank();
         // The deterministic payload: engine-count-invariant by the checks

@@ -5,23 +5,23 @@
 //! out another) and as the known-delay device of the Fig. 18 delay-testing
 //! case study.
 
+use ht_asic::fxhash::FxHashMap;
 use ht_asic::mac::MacPort;
 use ht_asic::sim::{Device, Outbox};
 use ht_asic::time::SimTime;
 use ht_asic::SimPacket;
 use std::any::Any;
-use std::collections::HashMap;
 
 /// The forwarding device.
 #[derive(Debug)]
 pub struct Forwarder {
     name: String,
     /// Static forwarding map: ingress port → egress port.
-    pub routes: HashMap<u16, u16>,
+    pub routes: FxHashMap<u16, u16>,
     /// Fixed processing (pipeline) delay applied to every packet.
     pub pipeline_delay: SimTime,
     /// Output MACs per egress port.
-    pub macs: HashMap<u16, MacPort>,
+    pub macs: FxHashMap<u16, MacPort>,
     /// Frames forwarded.
     pub forwarded: u64,
     /// Frames dropped for lack of a route.
@@ -33,9 +33,9 @@ impl Forwarder {
     pub fn new(name: &str, pipeline_delay: SimTime) -> Self {
         Forwarder {
             name: name.to_string(),
-            routes: HashMap::new(),
+            routes: FxHashMap::default(),
             pipeline_delay,
-            macs: HashMap::new(),
+            macs: FxHashMap::default(),
             forwarded: 0,
             dropped: 0,
         }
