@@ -68,20 +68,18 @@ impl HashConfig {
         (digest, h1, self.alt_bucket(h1, digest))
     }
 
-    /// [`triple`](Self::triple) over every key of a space, eight keys at
-    /// a time through the interleaved CRC fold
-    /// ([`Crc32FoldX8`](ht_asic::hash::Crc32FoldX8)).
+    /// Calls `emit(digest, h1)` for every key of a space in index order:
+    /// the one hashing loop behind [`triple_batch`](Self::triple_batch) and
+    /// [`packed_keys`](Self::packed_keys).
     ///
-    /// Identical output to mapping `triple` over `space.iter()`; the
-    /// false-positive precompute calls this on key spaces of tens of
-    /// millions of keys, where the independent CRC chains roughly halve
-    /// the hashing wall time versus the scalar fold.  The FNV-1a digest
-    /// chains are interleaved the same way: eight accumulators advance in
-    /// lockstep per key word, so the digest multiply latency overlaps
-    /// across lanes instead of serialising per key.
-    pub fn triple_batch(&self, space: &KeySpace) -> Vec<(u64, u64, u64)> {
+    /// Eight keys at a time go through the interleaved CRC fold
+    /// ([`Crc32FoldX8`](ht_asic::hash::Crc32FoldX8)) with their eight
+    /// FNV-1a accumulators advancing in lockstep per key word, so the CRC
+    /// table loads and the digest multiply latency overlap across lanes
+    /// instead of serialising per key; the `n mod 8` tail is scalar.
+    #[inline]
+    fn for_each_digest_h1(&self, space: &KeySpace, mut emit: impl FnMut(u64, u64)) {
         let n = space.len();
-        let mut out = Vec::with_capacity(n);
         let digest_mask = (1u64 << self.digest_bits) - 1;
         let h1_mask = (1u64 << self.array_bits) - 1;
         let width = space.width();
@@ -99,16 +97,56 @@ impl HashConfig {
                 }
             }
             for lane in 0..8 {
-                let digest = fnv[lane] & digest_mask;
-                let h1 = u64::from(crcs[lane]) & h1_mask;
-                out.push((digest, h1, self.alt_bucket(h1, digest)));
+                emit(fnv[lane] & digest_mask, u64::from(crcs[lane]) & h1_mask);
             }
             i += 8;
         }
         for j in i..n {
-            out.push(self.triple(space.key(j)));
+            let key = space.key(j);
+            emit(self.digest(key), self.h1(key));
         }
+    }
+
+    /// [`triple`](Self::triple) over every key of a space; identical
+    /// output to mapping `triple` over `space.iter()`, hashed eight keys
+    /// at a time.
+    ///
+    /// Its one caller is the benchmark's hashing kernel
+    /// (`ir.triple_batch_ns_per_key`); the false-positive precompute sorts
+    /// [`packed_keys`](Self::packed_keys) and derives `h2` per digest
+    /// group instead.
+    pub fn triple_batch(&self, space: &KeySpace) -> Vec<(u64, u64, u64)> {
+        let mut out = Vec::with_capacity(space.len());
+        self.for_each_digest_h1(space, |digest, h1| {
+            out.push((digest, h1, self.alt_bucket(h1, digest)));
+        });
         out
+    }
+
+    /// The false-positive precompute's streaming hash pass: one sort key
+    /// `digest << 32 | index` per key, plus every key's first bucket `h1`
+    /// by index.
+    ///
+    /// Sorting the keys groups the space by digest with index order inside
+    /// each group, and a group's second buckets are `h1 ^ alt_offset(digest)`
+    /// ([`alt_offset`](Self::alt_offset)), so no per-key `h2` is computed or
+    /// stored: 12 bytes per key instead of `triple_batch`'s 24.
+    ///
+    /// # Panics
+    /// If `digest_bits > 32` or the space holds more than `u32::MAX` keys —
+    /// either would not fit its half of the packed key.
+    pub fn packed_keys(&self, space: &KeySpace) -> (Vec<u64>, Vec<u32>) {
+        assert!(
+            self.digest_bits <= 32 && space.len() <= u32::MAX as usize,
+            "packed sort keys hold a 32-bit digest and a 32-bit index"
+        );
+        let mut keys = Vec::with_capacity(space.len());
+        let mut h1s = Vec::with_capacity(space.len());
+        self.for_each_digest_h1(space, |digest, h1| {
+            keys.push(digest << 32 | h1s.len() as u64);
+            h1s.push(h1 as u32);
+        });
+        (keys, h1s)
     }
 
     /// The alternate bucket of a stored `(bucket, digest)` pair — usable
@@ -119,6 +157,15 @@ impl HashConfig {
         // A zero offset would make h2 == h1 (one candidate bucket); force a
         // non-zero offset the way cuckoo-filter implementations do.
         (bucket ^ off.max(1)) & mask
+    }
+
+    /// The XOR distance between a digest's two candidate buckets:
+    /// `alt_bucket(b, digest) == b ^ alt_offset(digest)` for every bucket
+    /// `b < 2^array_bits`.  It depends on the digest alone, so the
+    /// false-positive precompute computes it once per digest group.
+    pub fn alt_offset(&self, digest: u64) -> u64 {
+        let mask = (1u64 << self.array_bits) - 1;
+        (hash_words(HashAlgo::Crc32c, &[digest]) & mask).max(1)
     }
 
     /// Stored digest of a key.
@@ -188,6 +235,36 @@ mod tests {
             let batch = cfg.triple_batch(&space);
             let scalar: Vec<_> = space.iter().map(|k| cfg.triple(k)).collect();
             assert_eq!(batch, scalar);
+        }
+    }
+
+    #[test]
+    fn packed_keys_match_scalar_hashes() {
+        // 19 keys: two full x8 blocks plus a 3-key scalar tail.
+        for cfg in [HashConfig::default(), HashConfig { array_bits: 32, digest_bits: 32 }] {
+            let mut space = KeySpace::new(2);
+            for i in 0..19u64 {
+                space.push(&[i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 80 + i]);
+            }
+            let (keys, h1s) = cfg.packed_keys(&space);
+            for (i, k) in space.iter().enumerate() {
+                assert_eq!(keys[i], cfg.digest(k) << 32 | i as u64);
+                assert_eq!(u64::from(h1s[i]), cfg.h1(k));
+            }
+        }
+    }
+
+    #[test]
+    fn alt_bucket_is_xor_with_alt_offset() {
+        for array_bits in [1, 4, 10, 16, 32] {
+            let cfg = HashConfig { array_bits, digest_bits: 16 };
+            let mask = (1u64 << array_bits) - 1;
+            for digest in 0..200u64 {
+                for b in [0, 1, 0x5555_5555, u64::MAX] {
+                    let b = b & mask;
+                    assert_eq!(cfg.alt_bucket(b, digest), b ^ cfg.alt_offset(digest));
+                }
+            }
         }
     }
 

@@ -123,6 +123,15 @@ pub enum NtapiError {
         /// The offending exponent.
         u32,
     ),
+    /// A cuckoo hash width of [`CompileOptions::hash`] outside `1..=32` bits
+    /// (wider ones overflow the bucket/digest masks and the precompute's
+    /// packed sort key).
+    BadHashBits {
+        /// `"array_bits"` or `"digest_bits"`.
+        field: &'static str,
+        /// The offending width.
+        bits: u32,
+    },
     /// The task failed static verification (see [`crate::lint`]).
     Lint(
         /// The error diagnostics that denied compilation.
@@ -158,6 +167,9 @@ impl std::fmt::Display for NtapiError {
             ),
             NtapiError::HeaderSpace(e) => write!(f, "{e}"),
             NtapiError::BadRandomBits(b) => write!(f, "random table exponent {b} out of 1..=20"),
+            NtapiError::BadHashBits { field, bits } => {
+                write!(f, "hash option {field} = {bits} out of 1..=32")
+            }
             NtapiError::Lint(diags) => {
                 write!(f, "task rejected by static verification:")?;
                 for d in diags {
@@ -349,6 +361,13 @@ pub fn lower_with(
     options: CompileOptions,
     stop_after: Option<&str>,
 ) -> Result<(Module, PassTrace, LintReport), NtapiError> {
+    for (field, bits) in
+        [("array_bits", options.hash.array_bits), ("digest_bits", options.hash.digest_bits)]
+    {
+        if !(1..=32).contains(&bits) {
+            return Err(NtapiError::BadHashBits { field, bits });
+        }
+    }
     let mut st = Lowering {
         program: program.clone(),
         options,
@@ -1126,6 +1145,26 @@ Q2 = query().map(p -> (pkt_len)).reduce(func=sum)
 
         let prog = must_parse("Q1 = query(T9).reduce(func=sum)");
         assert!(matches!(compile(&prog), Err(NtapiError::UnknownTrigger(_))));
+    }
+
+    #[test]
+    fn rejects_hash_widths_outside_1_to_32() {
+        // A 64-bit width would overflow `1 << bits` (panic in debug, an
+        // all-zero mask and one giant digest group in release).
+        let prog = must_parse("T1 = trigger().set(dport, 80)");
+        for (array_bits, digest_bits, field, bits) in [
+            (16, 64, "digest_bits", 64),
+            (16, 33, "digest_bits", 33),
+            (16, 0, "digest_bits", 0),
+            (64, 16, "array_bits", 64),
+            (0, 16, "array_bits", 0),
+        ] {
+            let hash = HashConfig { array_bits, digest_bits };
+            let got = compile_with(&prog, CompileOptions { hash, ..Default::default() });
+            assert_eq!(got.err(), Some(NtapiError::BadHashBits { field, bits }));
+        }
+        let hash = HashConfig { array_bits: 32, digest_bits: 32 };
+        assert!(compile_with(&prog, CompileOptions { hash, ..Default::default() }).is_ok());
     }
 
     #[test]

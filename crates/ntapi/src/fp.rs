@@ -11,87 +11,78 @@
 //! false-positive-free.
 //!
 //! [`compute_fp_indices`] implements the precompute over a flat
-//! [`KeySpace`], hashing each key exactly once via
-//! `HashConfig::triple_batch` (eight keys per iteration through the
-//! interleaved CRC fold) and grouping by digest with a counting sort (no
-//! hash map, no per-key allocation); [`compute_fp_entries`] is the
-//! row-cloning compatibility wrapper.  The Fig. 17 experiment measures the diverted-entry count
-//! against the flow count, array size and digest width.
+//! [`KeySpace`] in three streaming phases: `HashConfig::packed_keys` hashes
+//! each key exactly once into a `digest << 32 | index` sort key and a
+//! first-bucket array; one `sort_unstable` over those 8-byte keys groups
+//! the space by digest (index order inside a group falls out of the low
+//! half); a sequential walk over the sorted keys then resolves each digest
+//! group of two or more.  There is one grouping path for every digest
+//! width and space size, no hash map and no per-key allocation.
+//! [`compute_fp_entries`] is the row-cloning compatibility wrapper.  The
+//! Fig. 17 experiment measures the diverted-entry count against the flow
+//! count, array size and digest width.
 
 // `HashConfig` moved to `ht-ir` (it is carried by the IR's `FpConfig` and
 // consumed by every backend); re-exported here under its original path,
 // alongside the flat key-space representation.
 pub use ht_ir::{HashConfig, KeySpace};
 
-/// Digest widths up to this many bits group via counting sort (a 2^20
-/// counter array is 4 MB); wider digests fall back to a comparison sort.
-const COUNTING_SORT_MAX_BITS: u32 = 20;
-
 /// Computes the exact-key-matching entries for a key space, returned as
 /// sorted indices into `space`: for every pair of distinct keys with equal
 /// digests and overlapping candidate buckets, one key is diverted to the
 /// exact table.
 ///
-/// Runs in `O(n)` expected time by grouping keys per digest (false-positive
-/// pairs are rare by construction, so groups are tiny).  Each key is hashed
-/// once (`HashConfig::triple`); grouping is a stable counting sort over the
-/// digest value, so the greedy within-group scan sees keys in index order —
-/// the same diverted set the original per-group hash-map formulation
-/// produced.
+/// `O(n log n)` in the sort of the packed keys and `O(n)` expected in the
+/// scan (false-positive pairs are rare by construction, so the kept set of
+/// a group is tiny).  Sorted packed keys put each digest group in index
+/// order, so the greedy within-group scan diverts the later key of each
+/// dangerous pair — the same set the original per-group hash-map
+/// formulation produced.  Both candidate buckets of a group's keys differ
+/// by the one `HashConfig::alt_offset` of their shared digest, which is
+/// therefore computed per group of two or more, not per key.
+///
+/// # Panics
+/// If `cfg.digest_bits > 32` or the space holds more than `u32::MAX` keys:
+/// the packed sort key has 32 bits for each (asserted by
+/// `HashConfig::packed_keys`).  `compile_with` rejects such a hash
+/// configuration with a typed error before it gets here.
 pub fn compute_fp_indices(space: &KeySpace, cfg: &HashConfig) -> Vec<usize> {
     let n = space.len();
     ht_asic::sim::metrics::record_fp_keys(n as u64);
 
-    // One fused pass: (digest, h1, h2) per key, eight keys at a time
-    // through the interleaved CRC fold.
-    let trips: Vec<(u64, u64, u64)> = cfg.triple_batch(space);
-
-    // Key indices grouped by digest, stable (index order within a group).
-    let order: Vec<u32> = if cfg.digest_bits <= COUNTING_SORT_MAX_BITS {
-        let buckets = 1usize << cfg.digest_bits;
-        let mut counts = vec![0u32; buckets + 1];
-        for t in &trips {
-            counts[t.0 as usize + 1] += 1;
-        }
-        for i in 1..=buckets {
-            counts[i] += counts[i - 1];
-        }
-        let mut order = vec![0u32; n];
-        for (i, t) in trips.iter().enumerate() {
-            let slot = &mut counts[t.0 as usize];
-            order[*slot as usize] = i as u32;
-            *slot += 1;
-        }
-        order
-    } else {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| (trips[i as usize].0, i));
-        order
-    };
+    // Asserts `digest_bits <= 32 && n <= u32::MAX`.
+    let (mut keys, h1) = cfg.packed_keys(space);
+    keys.sort_unstable();
 
     let mut diverted: Vec<usize> = Vec::new();
-    let mut kept: Vec<(u64, u64)> = Vec::new();
+    let mut buckets: Vec<u32> = Vec::new();
+    let mut kept: Vec<u32> = Vec::new();
     let mut g = 0;
     while g < n {
-        let digest = trips[order[g] as usize].0;
+        let digest = keys[g] >> 32;
         let mut end = g + 1;
-        while end < n && trips[order[end] as usize].0 == digest {
+        while end < n && keys[end] >> 32 == digest {
             end += 1;
         }
         if end - g >= 2 {
+            // Gather the group's first buckets up front: the loads are
+            // independent, so their cache misses overlap instead of
+            // serialising behind the collision checks.
+            buckets.clear();
+            buckets.extend(keys[g..end].iter().map(|&k| h1[k as u32 as usize]));
             // Within a digest group, a pair is dangerous when their
-            // candidate bucket sets intersect.  Greedily divert the later
-            // key of each dangerous pair (the paper: "puts either
-            // tcp.dp=80 or tcp.dp=81 in the exact key matching table").
+            // candidate bucket sets {h1, h1 ^ off} intersect, i.e. when
+            // their first buckets are equal or `off` apart.  Greedily
+            // divert the later key of each dangerous pair (the paper:
+            // "puts either tcp.dp=80 or tcp.dp=81 in the exact key
+            // matching table").
+            let off = cfg.alt_offset(digest) as u32;
             kept.clear();
-            for &i in &order[g..end] {
-                let (_, h1, h2) = trips[i as usize];
-                let collides =
-                    kept.iter().any(|&(k1, k2)| h1 == k1 || h1 == k2 || h2 == k1 || h2 == k2);
-                if collides {
-                    diverted.push(i as usize);
+            for (&k, &b1) in keys[g..end].iter().zip(&buckets) {
+                if kept.iter().any(|&k1| b1 == k1 || b1 ^ off == k1) {
+                    diverted.push(k as u32 as usize);
                 } else {
-                    kept.push((h1, h2));
+                    kept.push(b1);
                 }
             }
         }
@@ -125,7 +116,8 @@ pub fn is_false_positive_pair(a: &[u64], b: &[u64], cfg: &HashConfig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
 
     fn space(n: u64) -> Vec<Vec<u64>> {
         (0..n).map(|i| vec![i, 80]).collect()
@@ -158,38 +150,85 @@ mod tests {
         assert!(wide.len() < narrow.len().max(1), "wide {} narrow {}", wide.len(), narrow.len());
     }
 
+    /// The precompute by definition, sharing no code with the packed-key
+    /// path: keys grouped by scalar digest in index order, the later key of
+    /// each pair with intersecting `{h1, h2}` diverted.
+    fn reference_indices(space: &KeySpace, cfg: &HashConfig) -> Vec<usize> {
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, k) in space.iter().enumerate() {
+            groups.entry(cfg.triple(k).0).or_default().push(i);
+        }
+        let mut diverted = Vec::new();
+        for group in groups.values() {
+            let mut kept: Vec<(u64, u64)> = Vec::new();
+            for &i in group {
+                let (_, h1, h2) = cfg.triple(space.key(i));
+                if kept.iter().any(|&(k1, k2)| h1 == k1 || h1 == k2 || h2 == k1 || h2 == k2) {
+                    diverted.push(i);
+                } else {
+                    kept.push((h1, h2));
+                }
+            }
+        }
+        diverted.sort_unstable();
+        diverted
+    }
+
     #[test]
-    fn indices_match_cloning_wrapper() {
-        // A digest just past `COUNTING_SORT_MAX_BITS` exercises the
-        // comparison-sort grouping path (with a tiny bucket array so digest
-        // groups still collide); a narrow digest the counting sort.  Both
-        // must agree with the wrapper.  Pseudorandom keys, not sequential:
-        // FNV over sequential values is nearly injective in its low ~21
-        // bits, so sequential spaces produce no wide-digest collisions.
+    fn indices_match_reference_on_colliding_rows() {
+        // A narrow digest over many buckets, and a wide digest over a tiny
+        // bucket array (so the rare shared digests still collide).
+        // Pseudorandom keys, not sequential: FNV over sequential values is
+        // nearly injective in its low ~21 bits, so sequential spaces
+        // produce no wide-digest collisions.
         let mut x = 0x243f_6a88_85a3_08d3u64; // splitmix64 stream
-        let rows: Vec<Vec<u64>> = (0..40_000)
-            .map(|_| {
-                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                vec![z ^ (z >> 31), 80]
-            })
-            .collect();
+        let mut flat = KeySpace::new(2);
+        for _ in 0..40_000 {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            flat.push(&[z ^ (z >> 31), 80]);
+        }
         for cfg in [
             HashConfig { array_bits: 10, digest_bits: 8 },
-            HashConfig { array_bits: 4, digest_bits: COUNTING_SORT_MAX_BITS + 1 },
+            HashConfig { array_bits: 4, digest_bits: 21 },
         ] {
-            let flat = KeySpace::from_rows(&rows);
             let idx = compute_fp_indices(&flat, &cfg);
-            let entries = compute_fp_entries(&rows, &cfg);
             assert!(!idx.is_empty(), "want collisions for {cfg:?}");
-            assert_eq!(idx.len(), entries.len());
-            for (i, e) in idx.iter().zip(&entries) {
-                assert_eq!(flat.key(*i), &e[..]);
-            }
+            assert_eq!(idx, reference_indices(&flat, &cfg), "{cfg:?}");
             assert!(idx.windows(2).all(|w| w[0] < w[1]), "indices sorted & distinct");
+            let entries = compute_fp_entries(&flat.to_rows(), &cfg);
+            assert!(entries.iter().map(Vec::as_slice).eq(idx.iter().map(|&i| flat.key(i))));
         }
+    }
+
+    proptest! {
+        /// Index-for-index equality with the reference over every `n mod 8`
+        /// tail, zero-width keys, and spaces with duplicate keys (a
+        /// duplicate shares digest and buckets with its twin, so it is
+        /// diverted).
+        #[test]
+        fn indices_match_reference(
+            words in prop::collection::vec(0u64..50, 3 * 600),
+            n in 0usize..600,
+            width in prop::sample::select(vec![0usize, 1, 2, 3]),
+            digest_bits in prop::sample::select(vec![1u32, 4, 8, 16, 20, 21, 24, 32]),
+            array_bits in prop::sample::select(vec![1u32, 4, 10, 16]),
+        ) {
+            let mut space = KeySpace::new(width);
+            for i in 0..n {
+                space.push(&words[i * width..(i + 1) * width]);
+            }
+            let cfg = HashConfig { array_bits, digest_bits };
+            prop_assert_eq!(compute_fp_indices(&space, &cfg), reference_indices(&space, &cfg));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit digest")]
+    fn digest_wider_than_the_packed_key_panics() {
+        compute_fp_indices(&KeySpace::new(1), &HashConfig { array_bits: 16, digest_bits: 33 });
     }
 
     #[test]
