@@ -84,8 +84,7 @@ impl std::fmt::Display for ExecMode {
 
 /// Process-wide default executor consulted by builders that do not take an
 /// explicit mode (`ht-core`'s `build`, the bench harness).  Compiled by
-/// default; `htctl --exec interp` flips it before any switch is built,
-/// mirroring how `--sim-threads` funds [`crate::parallel::budget`].
+/// default; `htctl --exec interp` flips it before any switch is built.
 static DEFAULT_MODE: AtomicU8 = AtomicU8::new(1);
 
 /// Sets the process-wide default executor.

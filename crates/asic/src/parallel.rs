@@ -69,55 +69,6 @@ use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// The process-wide engine-thread pool shared by experiment-level and
-/// engine-level parallelism.
-///
-/// `htctl --sim-threads N` configures `N - 1` *extra* tokens; a world
-/// built with [`SimThreads::Auto`] acquires up to `groups - 1` tokens for
-/// the duration of one `run_until` and releases them afterwards, so
-/// concurrently running experiments share one budget instead of
-/// oversubscribing the machine.  [`SimThreads::Fixed`] bypasses the pool
-/// (the caller asked for an exact engine count).
-pub mod budget {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static EXTRA: AtomicUsize = AtomicUsize::new(0);
-
-    /// Sets the number of extra engine threads available process-wide
-    /// (`--sim-threads N` ⇒ `N - 1`).  Zero (the default) keeps every
-    /// `Auto` world serial.
-    pub fn configure(extra: usize) {
-        EXTRA.store(extra, Ordering::SeqCst);
-    }
-
-    /// Extra engine threads currently unclaimed.
-    pub fn available() -> usize {
-        EXTRA.load(Ordering::SeqCst)
-    }
-
-    /// Claims up to `want` tokens, returning how many were granted.
-    pub(crate) fn try_acquire(want: usize) -> usize {
-        let mut cur = EXTRA.load(Ordering::SeqCst);
-        loop {
-            let take = want.min(cur);
-            if take == 0 {
-                return 0;
-            }
-            match EXTRA.compare_exchange(cur, cur - take, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return take,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Returns `n` previously claimed tokens to the pool.
-    pub(crate) fn release(n: usize) {
-        if n > 0 {
-            EXTRA.fetch_add(n, Ordering::SeqCst);
-        }
-    }
-}
-
 /// Soft bound on queued messages per cross-engine channel; a sender seeing
 /// the channel at capacity waits (draining its own inboxes) until the
 /// receiver catches up.
@@ -137,8 +88,6 @@ pub enum SerialFallback {
     FaultyLinks,
     /// No event is scheduled at or before `t_end`.
     NothingDue,
-    /// `SimThreads::Auto` found no token in the shared [`budget`] pool.
-    NoPoolTokens,
 }
 
 /// One engine of a partitioned run.
@@ -405,17 +354,10 @@ pub(crate) fn try_run_until(
         return PartitionReport::Serial(OneGroup);
     }
 
-    // Resolve the engine count, drawing from the shared pool under Auto.
-    let (n_eng, from_pool) = match threads {
-        SimThreads::Fixed(n) => (n.min(n_groups), 0),
-        SimThreads::Auto => {
-            let got = budget::try_acquire(n_groups - 1);
-            (1 + got, got)
-        }
-    };
-    if n_eng < 2 {
-        return PartitionReport::Serial(NoPoolTokens);
-    }
+    // `Fixed(1)` returned above and the builder rejects `Fixed(0)`, so
+    // at least two engines run.
+    let SimThreads::Fixed(n) = threads;
+    let n_eng = n.min(n_groups);
 
     let mut adj = vec![Vec::new(); n_groups];
     for (a, l) in core.links() {
@@ -488,7 +430,6 @@ pub(crate) fn try_run_until(
             })
             .collect()
     });
-    budget::release(from_pool);
 
     core.reassemble(loops);
     // Channel residue: deliveries beyond t_end sent after the receiver
@@ -505,21 +446,6 @@ pub(crate) fn try_run_until(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_acquire_is_clamped_and_released() {
-        // Single test touching the global pool (the suite runs tests
-        // concurrently; other tests use SimThreads::Fixed, which bypasses
-        // it).
-        budget::configure(3);
-        assert_eq!(budget::available(), 3);
-        assert_eq!(budget::try_acquire(2), 2);
-        assert_eq!(budget::try_acquire(5), 1);
-        assert_eq!(budget::try_acquire(1), 0);
-        budget::release(3);
-        assert_eq!(budget::available(), 3);
-        budget::configure(0);
-    }
 
     #[test]
     fn find_contracts_chains() {

@@ -33,8 +33,8 @@ use std::any::Any;
 /// around each job to report events and queue pressure per experiment
 /// without threading a context object through every device.  A partitioned
 /// run folds its engines' counters back into the owning world and thread
-/// when the engines are reassembled, so the numbers stay complete under
-/// `--sim-threads`.
+/// when the engines are reassembled, so the numbers stay complete at any
+/// engine count.
 pub mod metrics {
     use std::cell::Cell;
 
@@ -488,12 +488,8 @@ pub struct WorldStats {
 /// How many engine threads a partitioned run may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimThreads {
-    /// Draw extra engine threads from the shared pool configured via
-    /// [`crate::parallel::budget`] (zero by default, so worlds stay
-    /// serial unless `--sim-threads` granted capacity).
-    Auto,
-    /// Use exactly this many engines (clamped to the partition count),
-    /// bypassing the shared pool.  `Fixed(1)` is the serial loop.
+    /// Use exactly this many engines (clamped to the partition count).
+    /// `Fixed(1)` is the serial loop.
     Fixed(usize),
 }
 
@@ -532,7 +528,7 @@ impl std::error::Error for WorldConfigError {}
 /// use ht_asic::sim::{SimThreads, World};
 /// let w = World::builder()
 ///     .seed(42)
-///     .partitions(SimThreads::Auto)
+///     .partitions(SimThreads::Fixed(2))
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(w.now(), 0);

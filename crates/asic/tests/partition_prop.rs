@@ -507,8 +507,6 @@ fn serial_fallback_names_its_reason() {
     };
     assert_eq!(reason(SimThreads::Fixed(1), 4, false), SerialFallback::OneEngine);
     assert_eq!(reason(SimThreads::Fixed(2), 1, true), SerialFallback::OneGroup);
-    // The shared pool is empty unless `--sim-threads` funded it.
-    assert_eq!(reason(SimThreads::Auto, 4, false), SerialFallback::NoPoolTokens);
 
     let mut w = World::builder().partitions(SimThreads::Fixed(2)).build().unwrap();
     assert!(w.last_partition().is_none());

@@ -1125,8 +1125,9 @@ mod tests {
     fn smoke_campaign_has_no_failures() {
         let report = run_fuzz(25, 1);
         assert_eq!(report.cases, 25);
-        assert!(report.accepted > 0, "grammar should produce some valid tasks");
-        assert!(report.rejected > 0, "grammar should produce some invalid tasks");
+        // The exact split is pinned: grammar or analysis drift must show
+        // up here, not pass as a still-mixed campaign.
+        assert_eq!((report.accepted, report.rejected), (8, 17), "case mix drifted");
         assert!(report.failures.is_empty(), "unexpected counterexamples: {:?}", report.failures);
     }
 

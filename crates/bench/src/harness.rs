@@ -2,7 +2,7 @@
 //! run with a warm-up window, and collect per-port measurements.
 
 use ht_asic::time::{ms, SimTime};
-use ht_asic::{LinkSpec, SimThreads, World};
+use ht_asic::{LinkSpec, World};
 use ht_core::{build, TesterConfig};
 use ht_cpu::SwitchCpu;
 use ht_dut::Sink;
@@ -72,7 +72,7 @@ pub fn run(spec: RunSpec<'_>) -> Vec<PortMeasurement> {
         templates.extend(built.template_copies(i, copies));
     }
 
-    let mut world = World::builder().partitions(SimThreads::Auto).build().expect("static config");
+    let mut world = World::builder().build().expect("static config");
     let mut sink = Sink::new("sink");
     if spec.log_arrivals {
         sink = sink.logging_arrivals();

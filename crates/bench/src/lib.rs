@@ -12,9 +12,9 @@
 //! This crate is a library only.  `htctl bench` is the one front end:
 //! `htctl bench --filter fig09` regenerates and prints one table or
 //! figure, `htctl bench --baseline BENCH.json` is the exact digest and
-//! event-count gate.  Nothing here gates on time (`wall_ms` and
-//! `events_per_sec` in `BENCH.json` are informational); the kernels and
-//! end-to-end workloads are timed by the standalone crate in `benchmark/`.
+//! event-count gate.  Every experiment is exact: nothing here reads a
+//! clock, and `BENCH.json` carries no timing.  The kernels and end-to-end
+//! workloads are timed by the standalone crate in `benchmark/`.
 
 #![forbid(unsafe_code)]
 

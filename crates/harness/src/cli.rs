@@ -8,18 +8,12 @@
 use crate::report::{compare_to_baseline, BenchReport};
 use crate::runner::run_suite;
 use crate::{Experiment, Scale};
-use std::time::Instant;
 
 /// Parsed `bench` options.
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// Worker threads (default: available parallelism).
     pub workers: usize,
-    /// Simulation engine threads per world (default 1: serial loop).
-    /// `N > 1` funds a shared pool of `N - 1` extra engine tokens that
-    /// `SimThreads::Auto` worlds draw from, so experiment-level and
-    /// engine-level parallelism share one budget.
-    pub sim_threads: usize,
     /// Run scale.
     pub scale: Scale,
     /// Emit the JSON report on stdout (progress moves to stderr).
@@ -45,7 +39,6 @@ impl Default for BenchOpts {
     fn default() -> Self {
         BenchOpts {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            sim_threads: 1,
             scale: Scale::Full,
             json: false,
             out: None,
@@ -60,8 +53,8 @@ impl Default for BenchOpts {
 }
 
 /// Usage text for the `bench` subcommand.
-pub const BENCH_USAGE: &str = "usage: bench [--smoke] [--workers N] [--sim-threads N] [--json] \
-     [--out FILE] [--baseline FILE] [--md FILE] [--filter SUBSTR] [--list] \
+pub const BENCH_USAGE: &str = "usage: bench [--smoke] [--workers N] [--json] [--out FILE] \
+     [--baseline FILE] [--md FILE] [--filter SUBSTR] [--list] \
      [--exec interp|compiled|vector] [--profile]";
 
 /// Parses `bench` arguments.  Unknown flags are usage errors.
@@ -82,14 +75,6 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOpts, String> {
                     .map_err(|_| "--workers needs an integer".to_string())?;
                 if o.workers == 0 {
                     return Err("--workers must be at least 1".into());
-                }
-            }
-            "--sim-threads" => {
-                o.sim_threads = value(&mut it, "--sim-threads")?
-                    .parse()
-                    .map_err(|_| "--sim-threads needs an integer".to_string())?;
-                if o.sim_threads == 0 {
-                    return Err("--sim-threads must be at least 1".into());
                 }
             }
             "--out" => o.out = Some(value(&mut it, "--out")?),
@@ -168,8 +153,6 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
         return 1;
     }
 
-    // Fund the engine-token pool that `SimThreads::Auto` worlds draw from.
-    ht_asic::parallel::budget::configure(opts.sim_threads.saturating_sub(1));
     // Every switch built via `ht_core::build` picks this up.
     ht_asic::exec::set_default_mode(opts.exec);
 
@@ -178,14 +161,15 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
     // A filtered human-readable run is someone regenerating a table or
     // figure: show it, not just its verdict.
     let show_output = opts.filter.is_some() && !opts.json;
-    let start = Instant::now();
+    // The one wall clock: the total on the closing summary line, which
+    // goes to the terminal and into no report.
+    let start = std::time::Instant::now();
     let results = run_suite(&suite, opts.workers, opts.scale, |p| {
         let line = format!(
-            "[{:>2}/{}] {:<24} {:>8.1} ms  {}",
+            "[{:>2}/{}] {:<24} {}",
             p.done,
             p.total,
             p.name,
-            p.wall_ms,
             if p.ok { "ok" } else { "FAIL" }
         );
         if progress_to_stderr {
@@ -208,7 +192,6 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
         workers: opts.workers,
         exec: opts.exec.as_str().into(),
         profile: opts.profile,
-        wall_ms_total: start.elapsed().as_secs_f64() * 1e3,
         results,
     };
 
@@ -269,7 +252,7 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
         println!(
             "\n{passed}/{} experiments passed in {:.1} s ({} workers, {} scale)",
             report.results.len(),
-            report.wall_ms_total / 1e3,
+            start.elapsed().as_secs_f64(),
             report.workers,
             report.scale.name(),
         );
@@ -283,24 +266,14 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_flags() {
-        let args: Vec<String> = [
-            "--smoke",
-            "--workers",
-            "4",
-            "--sim-threads",
-            "2",
-            "--json",
-            "--exec",
-            "interp",
-            "--profile",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> =
+            ["--smoke", "--workers", "4", "--json", "--exec", "interp", "--profile"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
         let o = parse_bench_args(&args).unwrap();
         assert_eq!(o.scale, Scale::Smoke);
         assert_eq!(o.workers, 4);
-        assert_eq!(o.sim_threads, 2);
         assert!(o.json);
         assert_eq!(o.exec, ht_asic::ExecMode::Interp);
         assert!(o.profile);
@@ -310,7 +283,7 @@ mod tests {
     fn parse_rejects_unknown_flags() {
         assert!(parse_bench_args(&["--bogus".to_string()]).is_err());
         assert!(parse_bench_args(&["--workers".to_string(), "zero".to_string()]).is_err());
-        assert!(parse_bench_args(&["--sim-threads".to_string(), "0".to_string()]).is_err());
+        assert!(parse_bench_args(&["--sim-threads".to_string(), "2".to_string()]).is_err());
         assert!(parse_bench_args(&["--exec".to_string(), "jit".to_string()]).is_err());
     }
 

@@ -13,9 +13,14 @@
 //!   progress; results keep suite order regardless of worker count.
 //! * [`report`] — `BENCH.json` serialization, a markdown run ledger, and
 //!   the exact (digest + event count) comparison against a committed
-//!   baseline.  Nothing here gates on time: timing is `benchmark/`'s job.
+//!   baseline.
 //! * [`cli`] — the `htctl bench` command-line front end, the one way to
 //!   run the suite or a `--filter`ed part of it.
+//!
+//! Nothing here measures time: timing is `benchmark/`'s job.  The one
+//! wall clock is the suite total on `htctl bench`'s closing summary line,
+//! which goes to the terminal only, so the reports change only when
+//! simulated behaviour changes.
 //!
 //! Determinism contract: an experiment's `lines`, `checks`, and `extras`
 //! must depend only on its inputs (simulated time, seeds), never on wall
@@ -72,13 +77,8 @@ pub struct Check {
 #[derive(Debug, Clone, Default)]
 pub struct RunOutput {
     /// Human-readable output (tables, commentary), one line per entry.
-    /// Must be deterministic — the result digest is computed over these —
-    /// except for indices listed in [`volatile_lines`](Self::volatile_lines).
+    /// Must be deterministic — the result digest is computed over these.
     pub lines: Vec<String>,
-    /// Indices into `lines` excluded from the result digest: wall-clock
-    /// measurements (events/sec, speedups) that legitimately vary run to
-    /// run while the simulated results stay identical.
-    pub volatile_lines: Vec<usize>,
     /// Paper-shape assertions.
     pub checks: Vec<Check>,
     /// Extra machine-readable fields merged into the experiment's
@@ -103,8 +103,6 @@ impl RunOutput {
 #[derive(Debug, Default)]
 pub struct Out {
     lines: Vec<String>,
-    volatile: bool,
-    volatile_lines: Vec<usize>,
 }
 
 impl Out {
@@ -113,41 +111,19 @@ impl Out {
         Out::default()
     }
 
-    /// While `on`, appended lines are marked volatile: still printed, but
-    /// excluded from the result digest.  Use for wall-clock measurements
-    /// embedded in otherwise-deterministic output.
-    pub fn set_volatile(&mut self, on: bool) {
-        self.volatile = on;
-    }
-
-    fn push_line(&mut self, line: String) {
-        if self.volatile {
-            self.volatile_lines.push(self.lines.len());
-        }
-        self.lines.push(line);
-    }
-
     /// Appends one line (split on embedded newlines).
     pub fn say(&mut self, text: impl AsRef<str>) {
-        for l in text.as_ref().split('\n') {
-            self.push_line(l.to_string());
-        }
+        self.lines.extend(text.as_ref().split('\n').map(str::to_string));
     }
 
     /// Appends an empty line.
     pub fn blank(&mut self) {
-        self.push_line(String::new());
+        self.lines.push(String::new());
     }
 
     /// Consumes the buffer.
     pub fn into_lines(self) -> Vec<String> {
         self.lines
-    }
-
-    /// Consumes the buffer into `out`, carrying the volatile-line marks.
-    pub fn flush_into(self, out: &mut RunOutput) {
-        out.lines = self.lines;
-        out.volatile_lines = self.volatile_lines;
     }
 }
 
@@ -174,7 +150,7 @@ impl Table {
         for (c, w) in cells.iter().zip(&self.widths) {
             line.push_str(&format!("{c:>w$}  ", w = w));
         }
-        out.push_line(line.trim_end().to_string());
+        out.lines.push(line.trim_end().to_string());
     }
 }
 
@@ -189,8 +165,8 @@ pub trait Experiment: Send + Sync {
     /// Stable identifier (the old binary name, e.g. `fig14_accelerator`).
     fn name(&self) -> &'static str;
 
-    /// Report group: `"paper"` for tables/figures, `"ablation"`,
-    /// `"hotpath"` for the engine and fuzz-oracle benchmarks.
+    /// Report group: `"paper"` for tables/figures, `"ablation"` for the
+    /// design ablations.
     fn group(&self) -> &'static str {
         "paper"
     }
@@ -277,14 +253,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Digest of an experiment's deterministic payload (non-volatile lines +
-/// check verdicts).
+/// Digest of an experiment's deterministic payload (lines + check
+/// verdicts).
 pub fn result_digest(out: &RunOutput) -> u64 {
     let mut buf = String::new();
-    for (i, l) in out.lines.iter().enumerate() {
-        if out.volatile_lines.contains(&i) {
-            continue;
-        }
+    for l in &out.lines {
         buf.push_str(l);
         buf.push('\n');
     }
@@ -314,29 +287,6 @@ mod tests {
         let lines = out.into_lines();
         assert_eq!(lines.len(), 3);
         assert!(lines[2].contains('1') && lines[2].contains('2'));
-    }
-
-    #[test]
-    fn volatile_lines_do_not_affect_digest() {
-        let mut a = Out::new();
-        a.say("stable");
-        a.set_volatile(true);
-        a.say("1234.5 events/sec");
-        a.set_volatile(false);
-        let mut ra = RunOutput::default();
-        a.flush_into(&mut ra);
-
-        let mut b = Out::new();
-        b.say("stable");
-        b.set_volatile(true);
-        b.say("9876.5 events/sec");
-        b.set_volatile(false);
-        let mut rb = RunOutput::default();
-        b.flush_into(&mut rb);
-
-        assert_eq!(ra.lines.len(), 2);
-        assert_ne!(ra.lines, rb.lines);
-        assert_eq!(result_digest(&ra), result_digest(&rb));
     }
 
     #[test]

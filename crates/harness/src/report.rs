@@ -4,10 +4,9 @@
 //! The JSON is hand-rolled (the workspace vendors no serde): every
 //! experiment entry is emitted on its own line with a fixed field order,
 //! so baselines diff cleanly and the comparison parser can stay a simple
-//! line scanner.  Timing fields (`wall_ms`, `events_per_sec`) vary run to
-//! run and are reported, never gated (timing is measured by `benchmark/`);
-//! the deterministic payload is fingerprinted by `digest`, and `events`
-//! is a pure function of code and scale.
+//! line scanner.  The report carries no timing (that is `benchmark/`'s
+//! job): the deterministic payload is fingerprinted by `digest`, and
+//! `events` is a pure function of code and scale.
 
 use crate::runner::JobResult;
 use crate::Scale;
@@ -24,8 +23,6 @@ pub struct BenchReport {
     /// Whether to render the per-experiment profile counters into the
     /// JSON report (`--profile`).
     pub profile: bool,
-    /// Whole-suite wall clock in milliseconds.
-    pub wall_ms_total: f64,
     /// Per-experiment results, in suite order.
     pub results: Vec<JobResult>,
 }
@@ -46,15 +43,6 @@ fn esc(s: &str) -> String {
     o
 }
 
-/// Formats an `f64` compactly with enough precision for comparisons.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0".into()
-    }
-}
-
 impl BenchReport {
     /// Serializes the report; one experiment entry per line.
     pub fn to_json(&self) -> String {
@@ -64,21 +52,18 @@ impl BenchReport {
         s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
         s.push_str(&format!("  \"workers\": {},\n", self.workers));
         s.push_str(&format!("  \"exec\": \"{}\",\n", esc(&self.exec)));
-        s.push_str(&format!("  \"wall_ms_total\": {},\n", num(self.wall_ms_total)));
         s.push_str("  \"experiments\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let failed = r.output.checks.iter().filter(|c| !c.pass).count();
             let mut line = format!(
-                "    {{\"name\":\"{}\",\"group\":\"{}\",\"ok\":{},\"wall_ms\":{},\
-                 \"events\":{},\"events_per_sec\":{},\"peak_queue_depth\":{},\
+                "    {{\"name\":\"{}\",\"group\":\"{}\",\"ok\":{},\
+                 \"events\":{},\"peak_queue_depth\":{},\
                  \"arena_allocs\":{},\"arena_reuses\":{},\"shards\":{},\"checks\":{},\
                  \"checks_failed\":{},\"digest\":\"{:016x}\"",
                 esc(&r.name),
                 esc(&r.group),
                 r.ok,
-                num(r.wall_ms),
                 r.events,
-                num(r.events_per_sec),
                 r.peak_queue_depth,
                 r.arena_allocs,
                 r.arena_reuses,
@@ -122,14 +107,13 @@ impl BenchReport {
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "Suite: {} experiments at {} scale, {} workers — total wall clock {:.1} s.\n\n",
+            "Suite: {} experiments at {} scale, {} workers.\n\n",
             self.results.len(),
             self.scale.name(),
             self.workers,
-            self.wall_ms_total / 1e3,
         ));
-        s.push_str("| experiment | group | status | checks | wall ms | events | events/sec | peak queue |\n");
-        s.push_str("|---|---|---|---|---|---|---|---|\n");
+        s.push_str("| experiment | group | status | checks | events | peak queue |\n");
+        s.push_str("|---|---|---|---|---|---|\n");
         for r in &self.results {
             let status = if r.ok {
                 "ok"
@@ -140,15 +124,13 @@ impl BenchReport {
             };
             let failed = r.output.checks.iter().filter(|c| !c.pass).count();
             s.push_str(&format!(
-                "| {} | {} | {} | {}/{} | {:.1} | {} | {:.2e} | {} |\n",
+                "| {} | {} | {} | {}/{} | {} | {} |\n",
                 r.name,
                 r.group,
                 status,
                 r.output.checks.len() - failed,
                 r.output.checks.len(),
-                r.wall_ms,
                 r.events,
-                r.events_per_sec,
                 r.peak_queue_depth,
             ));
         }
@@ -261,52 +243,43 @@ mod tests {
     use super::*;
     use crate::RunOutput;
 
-    fn result(name: &str, eps: f64) -> JobResult {
-        JobResult {
-            name: name.into(),
-            group: "paper".into(),
-            title: name.into(),
-            ok: true,
-            panicked: None,
-            wall_ms: 10.0,
-            events: 1000,
-            events_per_sec: eps,
-            peak_queue_depth: 4,
-            arena_allocs: 1,
-            arena_reuses: 9,
-            shards: 0,
-            digest: 0xabcd,
-            output: RunOutput::default(),
-            profile: Default::default(),
-        }
-    }
-
-    fn report(eps: f64) -> BenchReport {
+    fn report() -> BenchReport {
         BenchReport {
             scale: Scale::Smoke,
             workers: 2,
             exec: "compiled".into(),
             profile: false,
-            wall_ms_total: 10.0,
-            results: vec![result("a", eps)],
+            results: vec![JobResult {
+                name: "a".into(),
+                group: "paper".into(),
+                title: "a".into(),
+                ok: true,
+                panicked: None,
+                events: 1000,
+                peak_queue_depth: 4,
+                arena_allocs: 1,
+                arena_reuses: 9,
+                shards: 0,
+                digest: 0xabcd,
+                output: RunOutput::default(),
+                profile: Default::default(),
+            }],
         }
     }
 
     #[test]
     fn json_roundtrips_through_field_scanner() {
-        let j = report(1234.5).to_json();
+        let j = report().to_json();
         let line = j.lines().find(|l| l.contains("\"name\":\"a\"")).unwrap();
         assert_eq!(field(line, "name"), Some("a"));
-        assert_eq!(field(line, "events_per_sec"), Some("1234.500"));
+        assert_eq!(field(line, "events"), Some("1000"));
         assert_eq!(field(&j, "scale"), Some("smoke"));
     }
 
     #[test]
-    fn timing_never_gates_but_an_events_mismatch_does() {
-        // Ten times slower than the baseline, same digest and events.
-        let baseline = report(1000.0).to_json();
-        let mut run = report(100.0);
-        run.results[0].wall_ms = 100.0;
+    fn an_events_mismatch_is_fatal() {
+        let baseline = report().to_json();
+        let mut run = report();
         assert!(compare_to_baseline(&run, &baseline).is_empty());
         run.results[0].events += 1;
         let regs = compare_to_baseline(&run, &baseline);
@@ -316,8 +289,8 @@ mod tests {
 
     #[test]
     fn digest_drift_is_fatal_when_scales_match() {
-        let baseline = report(1000.0).to_json();
-        let mut run = report(1000.0);
+        let baseline = report().to_json();
+        let mut run = report();
         run.results[0].digest = 0xbeef;
         let regs = compare_to_baseline(&run, &baseline);
         assert!(regs.iter().any(|r| r.fatal && r.message.contains("digest drifted")), "{regs:?}");
@@ -325,7 +298,7 @@ mod tests {
 
     #[test]
     fn json_includes_shard_count() {
-        let mut rep = report(1.0);
+        let mut rep = report();
         rep.results[0].shards = 12;
         let j = rep.to_json();
         let line = j.lines().find(|l| l.contains("\"name\":\"a\"")).unwrap();
@@ -334,9 +307,9 @@ mod tests {
 
     #[test]
     fn scale_mismatch_is_note_not_failure() {
-        let mut base = report(1000.0);
+        let mut base = report();
         base.scale = Scale::Full;
-        let regs = compare_to_baseline(&report(1.0), &base.to_json());
+        let regs = compare_to_baseline(&report(), &base.to_json());
         assert_eq!(regs.len(), 1);
         assert!(!regs[0].fatal);
     }

@@ -19,16 +19,15 @@
 //! Each unit runs entirely on one worker thread, so the thread-local
 //! simulation counters ([`ht_asic::sim::metrics`]) and allocation arenas
 //! ([`ht_asic::arena`]) can be read as before/after deltas around the unit
-//! — that is where `BENCH.json`'s events/sec, peak queue depth, and
+//! — that is where `BENCH.json`'s event counts, peak queue depth, and
 //! arena hit rates come from; sharded experiments report the sums (and
-//! the per-shard maximum for queue depth).
+//! the per-shard maximum for queue depth).  Nothing here reads a clock.
 
 use crate::{result_digest, Experiment, RunOutput, Scale, Shard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// The outcome of one experiment job.
 #[derive(Debug, Clone)]
@@ -43,12 +42,8 @@ pub struct JobResult {
     pub ok: bool,
     /// Panic message, if the job panicked.
     pub panicked: Option<String>,
-    /// Wall-clock job duration in milliseconds (summed over shards).
-    pub wall_ms: f64,
     /// Simulation events processed by the job.
     pub events: u64,
-    /// `events` divided by the wall-clock duration.
-    pub events_per_sec: f64,
     /// Deepest event queue any world of the job reached.
     pub peak_queue_depth: u64,
     /// PHV buffers the job took from the allocator.
@@ -78,18 +73,15 @@ pub struct Progress<'a> {
     pub name: String,
     /// Whether it passed.
     pub ok: bool,
-    /// Its wall-clock duration in milliseconds (summed over shards).
-    pub wall_ms: f64,
     /// Its buffered output lines and check verdicts.
     pub output: &'a RunOutput,
 }
 
-/// One measured execution of a closure: counters, wall clock, and either
-/// the produced output or the captured panic.
+/// One measured execution of a closure: counters and either the produced
+/// output or the captured panic.
 struct Measured {
     panicked: Option<String>,
     output: Option<RunOutput>,
-    wall_ms: f64,
     events: u64,
     peak_queue_depth: u64,
     arena_allocs: u64,
@@ -105,8 +97,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Runs `f` on the current thread, measuring wall time and the
-/// thread-local simulation counters around it and capturing panics.
+/// Runs `f` on the current thread, measuring the thread-local simulation
+/// counters around it and capturing panics.
 fn measure(f: impl FnOnce() -> RunOutput) -> Measured {
     use ht_asic::sim::metrics;
 
@@ -114,9 +106,7 @@ fn measure(f: impl FnOnce() -> RunOutput) -> Measured {
     let _ = metrics::take_thread_peak_queue();
     let ar0 = ht_asic::arena::stats();
     let prof0 = metrics::profile_snapshot();
-    let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(f));
-    let wall = start.elapsed();
     let events = metrics::thread_events() - ev0;
     let peak_queue_depth = metrics::take_thread_peak_queue();
     let ar = ht_asic::arena::stats();
@@ -129,7 +119,6 @@ fn measure(f: impl FnOnce() -> RunOutput) -> Measured {
     Measured {
         panicked,
         output,
-        wall_ms: wall.as_secs_f64() * 1e3,
         events,
         peak_queue_depth,
         arena_allocs: ar.allocs - ar0.allocs,
@@ -152,9 +141,7 @@ fn finish_job(exp: &dyn Experiment, shards: usize, m: Measured) -> JobResult {
         title: exp.title().to_string(),
         ok: m.panicked.is_none() && output.all_passed(),
         panicked: m.panicked,
-        wall_ms: m.wall_ms,
         events: m.events,
-        events_per_sec: if m.wall_ms > 0.0 { m.events as f64 / (m.wall_ms / 1e3) } else { 0.0 },
         peak_queue_depth: m.peak_queue_depth,
         arena_allocs: m.arena_allocs,
         arena_reuses: m.arena_reuses,
@@ -180,7 +167,6 @@ fn merge_job(exp: &dyn Experiment, scale: Scale, parts: Vec<Measured>) -> JobRes
     let mut agg = Measured {
         panicked: None,
         output: None,
-        wall_ms: 0.0,
         events: 0,
         peak_queue_depth: 0,
         arena_allocs: 0,
@@ -189,7 +175,6 @@ fn merge_job(exp: &dyn Experiment, scale: Scale, parts: Vec<Measured>) -> JobRes
     };
     let mut outputs = Vec::with_capacity(shards);
     for p in parts {
-        agg.wall_ms += p.wall_ms;
         agg.events += p.events;
         agg.peak_queue_depth = agg.peak_queue_depth.max(p.peak_queue_depth);
         agg.arena_allocs += p.arena_allocs;
@@ -309,7 +294,6 @@ pub fn run_suite(
                 total,
                 name: r.name.clone(),
                 ok: r.ok,
-                wall_ms: r.wall_ms,
                 output: &r.output,
             });
             results[exp] = Some(r);

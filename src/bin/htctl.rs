@@ -22,10 +22,10 @@
 //! htctl p4 <task.nt>                      emit the generated P4 program
 //! htctl loc <task.nt>                     NTAPI vs generated-P4 line counts
 //! htctl run [--json] <task.nt> [--ports N] [--speed GBPS] [--duration MS]
-//!           [--copies N] [--sim-threads N] [--exec interp|compiled|vector]
+//!           [--copies N] [--exec interp|compiled|vector]
 //!                                         run against a sink testbed and
 //!                                         print throughput + query results
-//! htctl bench [--smoke] [--workers N] [--sim-threads N] [--json] [--out FILE]
+//! htctl bench [--smoke] [--workers N] [--json] [--out FILE]
 //!             [--baseline FILE] [--md FILE] [--filter SUBSTR] [--list]
 //!             [--exec interp|compiled|vector] [--profile]
 //!                                         run the experiment suite on the
@@ -65,8 +65,8 @@ fn usage() -> ExitCode {
          htctl fuzz [--cases N] [--seed S] [--corpus DIR] [--json]\n  \
          htctl p4 <task.nt>\n  htctl loc <task.nt>\n  \
          htctl run [--json] <task.nt> [--ports N] [--speed GBPS] [--duration MS] [--copies N]\n              \
-         [--sim-threads N] [--exec interp|compiled|vector]\n  \
-         htctl bench [--smoke] [--workers N] [--sim-threads N] [--json] [--out FILE]\n              \
+         [--exec interp|compiled|vector]\n  \
+         htctl bench [--smoke] [--workers N] [--json] [--out FILE]\n              \
          [--baseline FILE] [--md FILE] [--filter SUBSTR] [--list]\n              \
          [--exec interp|compiled|vector] [--profile]"
     );
@@ -438,7 +438,6 @@ struct RunOpts {
     speed_gbps: u64,
     duration_ms: u64,
     copies: Option<usize>,
-    sim_threads: usize,
     exec: hypertester::asic::ExecMode,
     json: bool,
 }
@@ -469,12 +468,7 @@ fn cmd_run(path: &str, opts: RunOpts) -> Result<(), String> {
         );
     }
 
-    // `Auto` draws engines from the pool `--sim-threads` funded; the
-    // single-switch topology here contracts to one group, so the serial
-    // fallback applies and results are identical regardless of the flag.
-    hypertester::asic::parallel::budget::configure(opts.sim_threads.saturating_sub(1));
-    let mut world =
-        World::builder().seed(1).partitions(hypertester::asic::SimThreads::Auto).build().unwrap();
+    let mut world = World::builder().seed(1).build().map_err(|e| e.to_string())?;
     let sw = world.add_device(Box::new(tester.switch));
     let sink = world.add_device(Box::new(Sink::new("sink")));
     for p in 0..opts.ports {
@@ -758,7 +752,6 @@ fn main() -> ExitCode {
             speed_gbps: 100,
             duration_ms: 2,
             copies: None,
-            sim_threads: 1,
             exec: hypertester::asic::ExecMode::default(),
             json: false,
         };
@@ -777,23 +770,22 @@ fn main() -> ExitCode {
                     };
                     opts.exec = m;
                 }
-                flag @ ("--ports" | "--speed" | "--duration" | "--copies" | "--sim-threads") => {
+                flag @ ("--ports" | "--speed" | "--duration" | "--copies") => {
                     let val = it.next().map(String::as_str);
                     let Some(v) = val.and_then(|v| v.parse::<u64>().ok()) else {
                         eprintln!("bad flag/value: {flag} {val:?}");
                         return usage();
                     };
                     match flag {
-                        "--ports" => opts.ports = v as u16,
+                        "--ports" => {
+                            let Ok(ports) = u16::try_from(v) else {
+                                eprintln!("bad flag/value: --ports {v} (at most {})", u16::MAX);
+                                return usage();
+                            };
+                            opts.ports = ports;
+                        }
                         "--speed" => opts.speed_gbps = v,
                         "--duration" => opts.duration_ms = v,
-                        "--sim-threads" => {
-                            if v == 0 {
-                                eprintln!("--sim-threads must be at least 1");
-                                return usage();
-                            }
-                            opts.sim_threads = v as usize;
-                        }
                         _ => opts.copies = Some(v as usize),
                     }
                 }

@@ -177,14 +177,23 @@ fn usage_errors_exit_two_everywhere() {
     let (_, _, bench) = htctl_code(&["bench", "--bogus"]);
     // The baseline check is exact; there is no threshold to set.
     let (_, _, threshold) = htctl_code(&["bench", "--fail-threshold", "20"]);
-    assert_eq!((none, compile, bench, threshold), (2, 2, 2, 2));
+    let throughput = task_path("throughput.nt");
+    // A port count past u16 is refused, not truncated.
+    let (_, _, ports) = htctl_code(&["run", &throughput, "--ports", "65537"]);
+    // Engine counts are a `World` setting, not a flag.
+    let (_, _, run_threads) = htctl_code(&["run", &throughput, "--sim-threads", "2"]);
+    let (_, _, bench_threads) = htctl_code(&["bench", "--sim-threads", "2"]);
+    assert_eq!(
+        (none, compile, bench, threshold, ports, run_threads, bench_threads),
+        (2, 2, 2, 2, 2, 2, 2)
+    );
 }
 
 #[test]
 fn bench_lists_the_suite() {
     let (stdout, _, ok) = htctl(&["bench", "--list"]);
     assert!(ok, "{stdout}");
-    for name in ["table5_loc", "fig14_accelerator", "ablation_cuckoo", "sim_scaling"] {
+    for name in ["table5_loc", "fig14_accelerator", "ablation_cuckoo", "fig17_exact_match"] {
         assert!(stdout.contains(name), "missing {name}: {stdout}");
     }
 }
@@ -224,12 +233,10 @@ fn bench_baseline_gates_digests_and_events_but_not_timing() {
     };
     let gated = [&run[..], &["--baseline", path]].concat();
 
-    // A baseline ten times faster than this run: same digest, same events.
-    let eps = field("events_per_sec");
-    let fast = format!("{:.3}", eps.parse::<f64>().unwrap() * 10.0);
-    std::fs::write(path, report.replace(&eps, &fast)).unwrap();
-    let (_, stderr, code) = htctl_code(&gated);
-    assert_eq!(code, 0, "timing must not gate: {stderr}");
+    // The report holds no timing to gate on.
+    for timing in ["wall_ms", "events_per_sec"] {
+        assert!(!report.contains(timing), "{timing} in {report}");
+    }
 
     // One more event than this run simulates.
     let events = field("events");
@@ -325,7 +332,8 @@ fn bench_list_shows_analysis_facts_column() {
     let (stdout, _, ok) = htctl(&["bench", "--list"]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("facts"), "{stdout}");
-    assert!(stdout.contains("fuzz_throughput"), "{stdout}");
+    let loc = stdout.lines().find(|l| l.starts_with("table5_loc")).unwrap();
+    assert!(loc.contains("yes"), "{loc}");
     let ratectl = stdout.lines().find(|l| l.starts_with("fig11_ratectl_40g")).unwrap();
     assert!(ratectl.contains("yes"), "{ratectl}");
     let cost = stdout.lines().find(|l| l.starts_with("table6_cost")).unwrap();

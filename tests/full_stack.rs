@@ -4,13 +4,14 @@
 
 use ht_packet::wire::gbps;
 use hypertester::asic::action::{ActionSet, PrimitiveOp};
+use hypertester::asic::parallel::PartitionReport;
 use hypertester::asic::phv::fields;
 use hypertester::asic::sim::metrics::{self, ProfileSnapshot};
 use hypertester::asic::table::{MatchKind, Table};
-use hypertester::asic::time::ms;
-use hypertester::asic::{LinkSpec, SimThreads, Switch, World};
+use hypertester::asic::time::{ms, us};
+use hypertester::asic::{FieldTable, LinkSpec, SimPacket, SimThreads, Switch, World};
 use hypertester::cpu::SwitchCpu;
-use hypertester::dut::Sink;
+use hypertester::dut::{Forwarder, Sink};
 use hypertester::ht::{build, distinct_count, global_value, Gbps, TesterConfig};
 use hypertester::ntapi::{compile, compile_with, parse, CompileOptions, NtapiError};
 
@@ -83,6 +84,48 @@ fn two_switch_testbed_fig8() {
     assert_eq!(profile2.events, profile.events);
     assert_eq!(profile2.by_kind, profile.by_kind);
     assert_eq!(profile2.ops_retired, profile.ops_retired);
+}
+
+/// A ring of 8 store-and-forward devices (1 µs processing) over 2 µs
+/// links with 256 packets circulating for 1 ms, run on `engines` event
+/// engines.  Returns per-forwarder forwarded counts, the events
+/// simulated, and the links the partitioner cut (0 when serial).
+fn run_ring(engines: usize) -> (Vec<u64>, u64, usize) {
+    const HOPS: usize = 8;
+    let mut w = World::builder().partitions(SimThreads::Fixed(engines)).build().unwrap();
+    let ids: Vec<_> = (0..HOPS)
+        .map(|i| {
+            let fwd = Forwarder::new(&format!("fwd{i}"), us(1)).route(0, 1, gbps(100));
+            w.add_device(Box::new(fwd))
+        })
+        .collect();
+    for i in 0..HOPS {
+        w.link((ids[i], 1), (ids[(i + 1) % HOPS], 0), LinkSpec::new().delay(us(2)));
+    }
+    let ft = FieldTable::new();
+    for p in 0..256u64 {
+        let pkt = SimPacket { phv: ft.new_phv(), body: None, uid: p };
+        w.schedule_rx(ids[p as usize % HOPS], 0, pkt, (p % 64) * 100);
+    }
+    let events = w.run_until(ms(1));
+    let counts = ids.iter().map(|&id| w.device::<Forwarder>(id).forwarded).collect();
+    let cut_links = match w.last_partition() {
+        Some(PartitionReport::Partitioned { cut_links, .. }) => *cut_links,
+        _ => 0,
+    };
+    (counts, events, cut_links)
+}
+
+#[test]
+fn forwarder_ring_is_identical_at_every_engine_count() {
+    let (serial, events, cut) = run_ring(1);
+    assert_eq!((events, cut), (85_504, 0));
+    assert!(serial.iter().sum::<u64>() > 256, "ring never saturated: {serial:?}");
+    for engines in [2, 4, 8] {
+        // One contiguous chunk of the ring per engine: each boundary cuts
+        // one link, and the ring closes on itself.
+        assert_eq!(run_ring(engines), (serial.clone(), events, engines), "{engines} engines");
+    }
 }
 
 /// Fault injection: on a lossy link, the receive-side query counts exactly
