@@ -11,13 +11,21 @@
 //! beyond the wheel horizon (2^48 ps ≈ 281 s) overflow into a fallback
 //! binary heap and migrate in as the horizon advances.
 //!
+//! Storage follows the live events, not the history of each slot: a slot
+//! is a `u32` head of a list linking nodes of one pool (a `Vec` plus a free
+//! list), a cascade relinks nodes without copying them, and the pool never
+//! holds more nodes than the queue's peak depth.
+//!
 //! Ordering is `(at, key)` for a caller-chosen tie-break key `K: Ord` —
 //! the world's schedule-independent [`EvKey`](crate::sim::EvKey) in
 //! production, a plain insertion sequence (`u64`, the default) in tests:
 //! events of the tick currently being served drain into a small "near"
 //! buffer — a `Vec` kept sorted descending, so the minimum pops from the
 //! back without heap sift machinery — and same-instant events still pop in
-//! key order, keeping every run bit-for-bit deterministic.  A property test
+//! key order, keeping every run bit-for-bit deterministic.  A push at or
+//! before the cursor tick while `near` is empty *parks* in the cursor's
+//! own level-0 slot, so a burst (the pre-run injections) costs one sort
+//! rather than one sorted insert per event.  A property test
 //! (`crates/asic/tests/timerwheel_prop.rs`) checks the equivalence against
 //! a reference heap under arbitrary push/pop interleavings.
 
@@ -36,13 +44,21 @@ const LEVELS: usize = 6;
 /// 2^12 ps = 4.096 ns, comfortably under the 6.4 ns minimal template
 /// inter-arrival, so a tick rarely holds more than a handful of events.
 const TICK_BITS: u32 = 12;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+/// Most entries the wheel slots can hold at once: node indices are `u32`
+/// and `NIL` is reserved.
+const MAX_NODES: usize = NIL as usize - 1;
 
-/// One queued entry: the priority key `(at, key)` plus the payload.
-#[derive(Debug)]
+/// One queued entry: the priority key `(at, key)`, the payload, and the
+/// index of the next node in its slot list or the free list (meaningless
+/// in `near` and `overflow`).
+#[derive(Debug, Clone, Copy)]
 struct Entry<T, K> {
     at: u64,
     key: K,
     item: T,
+    next: u32,
 }
 
 impl<T, K: Ord> PartialEq for Entry<T, K> {
@@ -65,23 +81,23 @@ impl<T, K: Ord> Ord for Entry<T, K> {
 }
 
 #[derive(Debug)]
-struct Level<T, K> {
+struct Level {
     /// Bitmask of non-empty slots.
     occupied: u64,
-    slots: Vec<Vec<Entry<T, K>>>,
+    /// Each slot's first node, `NIL` when empty.
+    heads: [u32; SLOTS],
 }
 
-impl<T, K> Level<T, K> {
-    fn new() -> Self {
-        Level { occupied: 0, slots: (0..SLOTS).map(|_| Vec::new()).collect() }
-    }
-}
+const EMPTY_LEVEL: Level = Level { occupied: 0, heads: [NIL; SLOTS] };
 
 /// A hierarchical timer wheel ordered by `(at, key)`, with a heap fallback
 /// for events beyond the wheel horizon.
 #[derive(Debug)]
 pub struct TimerWheel<T, K = u64> {
-    levels: Vec<Level<T, K>>,
+    levels: [Level; LEVELS],
+    /// Every entry held in a wheel slot; freed nodes chain from `free`.
+    nodes: Vec<Entry<T, K>>,
+    free: u32,
     /// Events of ticks `<= elapsed_tick`, kept sorted *descending* by
     /// `(at, key)` so the minimum pops from the back in O(1).
     near: Vec<Entry<T, K>>,
@@ -93,17 +109,19 @@ pub struct TimerWheel<T, K = u64> {
     peak: usize,
 }
 
-impl<T, K: Ord> Default for TimerWheel<T, K> {
+impl<T: Copy, K: Copy + Ord> Default for TimerWheel<T, K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T, K: Ord> TimerWheel<T, K> {
+impl<T: Copy, K: Copy + Ord> TimerWheel<T, K> {
     /// Creates an empty wheel with the cursor at time zero.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: [EMPTY_LEVEL; LEVELS],
+            nodes: Vec::new(),
+            free: NIL,
             near: Vec::new(),
             overflow: BinaryHeap::new(),
             elapsed_tick: 0,
@@ -129,10 +147,15 @@ impl<T, K: Ord> TimerWheel<T, K> {
 
     /// Queues `item` with priority `(at, key)`.  `key` must be unique
     /// across live entries of the same `at` (the world's event key).
+    ///
+    /// # Panics
+    ///
+    /// When the wheel slots would hold more than `u32::MAX - 1` entries at
+    /// once (node indices are `u32`).
     pub fn push(&mut self, at: u64, key: K, item: T) {
         self.len += 1;
         self.peak = self.peak.max(self.len);
-        self.insert(Entry { at, key, item });
+        self.insert(Entry { at, key, item, next: NIL });
     }
 
     /// Removes and returns the minimum-`(at, key)` entry.
@@ -179,35 +202,63 @@ impl<T, K: Ord> TimerWheel<T, K> {
         near.insert(idx, e);
     }
 
-    /// Routes an entry to the near buffer, a wheel slot, or the overflow
-    /// heap, based on its tick relative to the cursor.
+    /// `(level, slot)` for an entry at `at`; a level `>= LEVELS` is past
+    /// the horizon.  The highest bit where the tick differs from the cursor
+    /// picks the level: events sharing all upper bits with the cursor go
+    /// low.  A tick at or before the cursor parks in the cursor's own
+    /// level-0 slot, which no later tick maps to and which, when occupied,
+    /// is the next slot to expire.
+    fn slot_of(&self, at: u64) -> (usize, usize) {
+        let tick = Self::tick_of(at).max(self.elapsed_tick);
+        let masked = (tick ^ self.elapsed_tick) | SLOT_MASK;
+        let level = ((63 - masked.leading_zeros()) / SLOT_BITS) as usize;
+        (level, ((tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize)
+    }
+
+    /// Routes an entry to the near buffer (only while it is non-empty), a
+    /// wheel slot, or the overflow heap.
     fn insert(&mut self, e: Entry<T, K>) {
-        let tick = Self::tick_of(e.at);
-        if tick <= self.elapsed_tick {
+        if Self::tick_of(e.at) <= self.elapsed_tick && !self.near.is_empty() {
             Self::push_near(&mut self.near, e);
             return;
         }
-        // The highest bit where the tick differs from the cursor picks the
-        // level: events sharing all upper bits with the cursor go low.
-        let masked = (tick ^ self.elapsed_tick) | SLOT_MASK;
-        let sig = 63 - masked.leading_zeros();
-        let level = (sig / SLOT_BITS) as usize;
+        let (level, slot) = self.slot_of(e.at);
         if level >= LEVELS {
             self.overflow.push(e);
             return;
         }
-        let slot = ((tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level].slots[slot].push(e);
-        self.levels[level].occupied |= 1 << slot;
+        // Reuse a free node; grow the pool only when none is left.
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = std::mem::replace(&mut self.nodes[idx as usize], e).next;
+            idx
+        } else {
+            assert!(
+                self.nodes.len() < MAX_NODES,
+                "timer wheel slots hold at most u32::MAX - 1 = {MAX_NODES} entries"
+            );
+            self.nodes.push(e);
+            (self.nodes.len() - 1) as u32
+        };
+        self.link(idx, level, slot);
+    }
+
+    /// Prepends node `idx` to the list of `slot` on `level`.
+    fn link(&mut self, idx: u32, level: usize, slot: usize) {
+        let l = &mut self.levels[level];
+        self.nodes[idx as usize].next = l.heads[slot];
+        l.heads[slot] = idx;
+        l.occupied |= 1 << slot;
     }
 
     /// The lowest occupied level's next slot: `(level, slot, start tick)`.
     ///
     /// Within a level, every occupied slot index is strictly greater than
     /// the cursor's slot index (a wrapped-around slot would differ from the
-    /// cursor in a higher bit and live on a higher level), so the earliest
-    /// slot is simply the lowest set occupancy bit, and the lowest occupied
-    /// level always precedes every higher level.
+    /// cursor in a higher bit and live on a higher level) — bar the parked
+    /// cursor slot on level 0 — so the earliest slot is simply the lowest
+    /// set occupancy bit, and the lowest occupied level always precedes
+    /// every higher level.
     fn next_expiration(&self) -> Option<(usize, usize, u64)> {
         for (level, l) in self.levels.iter().enumerate() {
             if l.occupied != 0 {
@@ -222,7 +273,7 @@ impl<T, K: Ord> TimerWheel<T, K> {
     }
 
     /// Advances cursors/cascades until the global minimum entry sits in the
-    /// near heap.  Returns `false` when the wheel is empty.
+    /// near buffer.  Returns `false` when the wheel is empty.
     fn settle(&mut self) -> bool {
         loop {
             if !self.near.is_empty() {
@@ -241,7 +292,7 @@ impl<T, K: Ord> TimerWheel<T, K> {
                 if due {
                     if exp.is_none() {
                         // Wheel empty: jump the cursor straight to the
-                        // overflow minimum so it lands in `near`.
+                        // overflow minimum so it parks at the cursor.
                         self.elapsed_tick = self.elapsed_tick.max(Self::tick_of(o.at));
                     }
                     // Migrate everything up to the bound tick (the next
@@ -265,30 +316,32 @@ impl<T, K: Ord> TimerWheel<T, K> {
                 return false;
             };
             self.elapsed_tick = tick;
-            self.levels[level].occupied &= !(1 << slot);
-            // Drain the slot through the scratch buffer so the borrow on
-            // the level ends before re-insertion.
-            let mut drained = std::mem::take(&mut self.levels[level].slots[slot]);
+            let l = &mut self.levels[level];
+            l.occupied &= !(1 << slot);
+            let mut idx = std::mem::replace(&mut l.heads[slot], NIL);
             if level == 0 {
                 // A level-0 slot holds exactly one tick — the new cursor
-                // tick — so the whole slot IS the next near buffer.  Sort
-                // it once (Entry's reversed Ord → descending `(at, key)`)
-                // and swap buffers instead of re-routing entry by entry.
-                drained.sort_unstable();
-                if self.near.is_empty() {
-                    std::mem::swap(&mut self.near, &mut drained);
-                } else {
-                    self.near.append(&mut drained);
-                    self.near.sort_unstable();
+                // tick — so its nodes become the near buffer and return to
+                // the free list.  Sort once (Entry's reversed Ord →
+                // descending `(at, key)`).
+                while idx != NIL {
+                    let node = self.nodes[idx as usize];
+                    self.near.push(node);
+                    self.nodes[idx as usize].next = self.free;
+                    self.free = idx;
+                    idx = node.next;
                 }
+                self.near.sort_unstable();
             } else {
-                // Higher-level entries cascade strictly downward.
-                for e in drained.drain(..) {
-                    self.insert(e);
+                // Higher-level nodes cascade strictly downward, or park in
+                // the cursor's level-0 slot: relinked, not copied.
+                while idx != NIL {
+                    let Entry { at, next, .. } = self.nodes[idx as usize];
+                    let (level, slot) = self.slot_of(at);
+                    self.link(idx, level, slot);
+                    idx = next;
                 }
             }
-            // Hand the emptied buffer back to keep its capacity.
-            self.levels[level].slots[slot] = drained;
         }
     }
 }
@@ -361,6 +414,44 @@ mod tests {
         w.push(1, 11, 11);
         assert_eq!(w.peak_len(), 10);
         assert_eq!(w.len(), 1);
+    }
+
+    #[test]
+    fn node_pool_stays_within_peak_depth() {
+        // The `linerate_64b` shape: 4 ports send 64 B frames 6.72 ns apart,
+        // ~7 000 deliveries stay queued, their port backlogs staggered
+        // 0–1 ms ahead, and each pop re-queues its port's next frame.
+        // Served for over two level-2 rotations (2 × 1.07 ms), per-slot
+        // buffers would keep every slot's high-water mark; the pool must
+        // stay at the live depth.
+        const GAP: u64 = 6_720;
+        const PER_PORT: u64 = 1_750;
+        let mut w: TimerWheel<usize, u64> = TimerWheel::new();
+        let mut next = [0, 329_000_000, 658_000_000, 987_000_000];
+        let mut key = 0;
+        for (port, t) in next.iter_mut().enumerate() {
+            for _ in 0..PER_PORT {
+                w.push(*t, key, port);
+                key += 1;
+                *t += GAP;
+            }
+        }
+        let mut last = 0;
+        while w.elapsed_tick << TICK_BITS < 2_200_000_000 {
+            let (at, _, port) = w.pop().expect("the queue stays full");
+            assert!(at >= last, "popped {at} after {last}");
+            last = at;
+            w.push(next[port], key, port);
+            key += 1;
+            next[port] += GAP;
+            assert!(
+                w.nodes.len() <= w.peak_len(),
+                "pool {} > peak {}",
+                w.nodes.len(),
+                w.peak_len()
+            );
+        }
+        assert_eq!(w.peak_len(), 4 * PER_PORT as usize);
     }
 
     #[test]
