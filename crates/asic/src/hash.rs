@@ -455,8 +455,10 @@ mod tests {
             }
 
             let mut c8 = Crc32FoldX8::castagnoli();
+            // Word `i` of every lane, folded as one column.
+            let column = |i: usize| std::array::from_fn(|lane| keys[lane][i].to_be_bytes());
             for i in 0..keys[0].len() {
-                c8.fold8(std::array::from_fn(|lane| keys[lane][i].to_be_bytes()));
+                c8.fold8(column(i));
             }
             let batch_c = c8.finish();
             for lane in 0..8 {

@@ -1,8 +1,7 @@
 //! The simulator's packet representation.
 //!
-//! A [`SimPacket`] carries a parsed [`Phv`] plus (optionally) the original
-//! template bytes it was replicated from.  Header *fields* live in the PHV
-//! while traversing the switch — exactly like hardware, where the packet
+//! A [`SimPacket`] carries a parsed [`Phv`].  Header *fields* live in the
+//! PHV while traversing the switch — exactly like hardware, where the packet
 //! body is buffered out-of-band and only the header vector flows through the
 //! match-action stages.  [`crate::parser`] converts between bytes and PHV at
 //! the pipeline boundaries.
@@ -15,9 +14,10 @@ use std::sync::Arc;
 pub struct SimPacket {
     /// Parsed header vector (also holds intrinsic metadata).
     pub phv: Phv,
-    /// The packet body as originally built (headers may be stale relative to
-    /// the PHV after pipeline edits; [`crate::parser::deparse`] reconciles).
-    /// Replicas of one template share the buffer.
+    /// Unused: nothing reads it, and every constructor stores `None` (a
+    /// shared buffer would cost each multicast replica an atomic refcount
+    /// for nothing).  The field stays only because code outside the
+    /// workspace still names it in `SimPacket` literals.
     pub body: Option<Arc<Vec<u8>>>,
     /// Simulator-unique id, for tracing and test assertions.
     pub uid: u64,

@@ -212,19 +212,37 @@ impl SaluProgram {
 }
 
 /// One register array: `depth` slots of `width` bits.
+///
+/// # Storage
+///
+/// Like Tofino register memory, reserved at compile time, an array costs
+/// nothing until written: the first [`cp_write`](Self::cp_write) or SALU
+/// access ([`RegisterFile::execute_on`]) allocates its zeroed slots, and
+/// until then every slot reads 0.  [`depth`](Self::depth) never changes.
 #[derive(Debug, Clone)]
 pub struct RegisterArray {
     name: String,
     width: u32,
+    depth: usize,
     values: Vec<u64>,
 }
 
 impl RegisterArray {
-    /// Creates a zeroed array.
+    /// Declares an array of `depth` slots, all reading 0; no slot storage
+    /// is allocated until the first write (see [Storage](Self#storage)).
     pub fn new(name: &str, width: u32, depth: usize) -> Self {
         assert!((1..=64).contains(&width), "register width out of range: {width}");
         assert!(depth > 0, "register depth must be positive");
-        RegisterArray { name: name.to_string(), width, values: vec![0; depth] }
+        RegisterArray { name: name.to_string(), width, depth, values: Vec::new() }
+    }
+
+    /// The slot storage, allocated zeroed on first use.
+    #[inline]
+    fn slots_mut(&mut self) -> &mut [u64] {
+        if self.values.is_empty() {
+            self.values = vec![0; self.depth];
+        }
+        &mut self.values
     }
 
     /// Array name (for diagnostics and resource reports).
@@ -239,20 +257,20 @@ impl RegisterArray {
 
     /// Number of slots.
     pub fn depth(&self) -> usize {
-        self.values.len()
+        self.depth
     }
 
     /// Control-plane read of one slot (no SALU semantics — this is the PCIe
     /// path the switch CPU uses; see `ht-cpu` for its timing model).
     pub fn cp_read(&self, idx: usize) -> u64 {
-        self.values[idx % self.values.len()]
+        self.values.get(idx % self.depth).copied().unwrap_or(0)
     }
 
     /// Control-plane write of one slot.
     pub fn cp_write(&mut self, idx: usize, value: u64) {
         let mask = mask_for(self.width);
-        let len = self.values.len();
-        self.values[idx % len] = value & mask;
+        let slot = idx % self.depth;
+        self.slots_mut()[slot] = value & mask;
     }
 }
 
@@ -336,6 +354,12 @@ impl RegisterFile {
         self.arrays.iter()
     }
 
+    /// Bytes of slot storage actually allocated — only arrays that have
+    /// been written count (see [Storage](RegisterArray#storage)).
+    pub fn resident_bytes(&self) -> usize {
+        self.arrays.iter().map(|a| a.values.len() * std::mem::size_of::<u64>()).sum()
+    }
+
     /// Executes one SALU read-modify-write on slot `idx` of array `id` —
     /// the packet's single access to that array.
     ///
@@ -367,8 +391,9 @@ impl RegisterFile {
     ) -> u64 {
         let arr = &mut self.arrays[id.0 as usize];
         let mask = mask_for(arr.width);
-        let slot = (idx as usize) % arr.values.len();
-        let old = arr.values[slot];
+        let slot = (idx as usize) % arr.depth;
+        let values = arr.slots_mut();
+        let old = values[slot];
 
         let cond = match &program.condition {
             None => true,
@@ -385,7 +410,7 @@ impl RegisterFile {
 
         let update = if cond { &program.on_true } else { &program.on_false };
         let new = update.apply(old, phv, mask);
-        arr.values[slot] = new;
+        values[slot] = new;
 
         if self.trace_wraps {
             // Exact overflow semantics of `SaluUpdate::apply`: `Set`
@@ -528,6 +553,31 @@ mod tests {
         rf.array_mut(r).cp_write(2, 5);
         let v = rf.execute(r, 10, &SaluProgram::read(scratch), &mut phv, &t); // 10 % 8 = 2
         assert_eq!(v, 5);
+    }
+
+    #[test]
+    fn arrays_allocate_on_first_write_only() {
+        let (t, mut phv, mut rf, r, scratch) = setup();
+        let s = rf.alloc("s", 16, 4);
+        assert_eq!(rf.resident_bytes(), 0);
+        // Reads of a never-written array, in range or not, see 0 and
+        // allocate nothing.
+        for idx in [0, 7, 8, 1000, usize::MAX] {
+            assert_eq!(rf.array(r).cp_read(idx), 0);
+        }
+        assert_eq!(rf.resident_bytes(), 0);
+        let shape = |a: &RegisterArray| (a.name().to_string(), a.width(), a.depth());
+        assert_eq!(shape(rf.array(r)), ("r".to_string(), 32, 8));
+
+        rf.array_mut(r).cp_write(9, 5);
+        assert_eq!(rf.resident_bytes(), 8 * 8);
+        assert_eq!(shape(rf.array(r)), ("r".to_string(), 32, 8));
+        assert_eq!(rf.array(r).cp_read(1), 5);
+
+        // Any SALU access allocates, a plain read included.
+        assert_eq!(rf.execute(s, 2, &SaluProgram::read(scratch), &mut phv, &t), 0);
+        assert_eq!(rf.resident_bytes(), (8 + 4) * 8);
+        assert_eq!(shape(rf.array(s)), ("s".to_string(), 16, 4));
     }
 
     #[test]

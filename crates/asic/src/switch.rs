@@ -263,7 +263,7 @@ impl Switch {
     /// field table and given a fresh uid.
     pub fn make_packet(&mut self, bytes: Vec<u8>) -> SimPacket {
         let phv = parser::parse(&self.fields, &bytes).expect("unparsable frame");
-        SimPacket { phv, body: Some(std::sync::Arc::new(bytes)), uid: self.alloc_uid() }
+        SimPacket { phv, body: None, uid: self.alloc_uid() }
     }
 
     /// Allocates a packet uid.

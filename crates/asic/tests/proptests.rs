@@ -1,10 +1,10 @@
 //! Property-based tests for the ASIC simulator's core invariants.
 
 use ht_asic::action::{ActionSet, PrimitiveOp};
-use ht_asic::phv::{fields, mask_for, FieldId, FieldTable};
+use ht_asic::phv::{fields, mask_for, FieldId, FieldTable, Phv};
 use ht_asic::register::{
-    Cmp, CondExpr, RegisterFile, SaluCond, SaluOperand, SaluOutput, SaluOutputSrc, SaluProgram,
-    SaluUpdate,
+    Cmp, CondExpr, RegId, RegisterFile, SaluCond, SaluOperand, SaluOutput, SaluOutputSrc,
+    SaluProgram, SaluUpdate, WrapEvent, WRAP_LOG_CAP,
 };
 use ht_asic::sim::{Outbox, World};
 use ht_asic::switch::{Switch, CPU_PORT};
@@ -165,6 +165,208 @@ proptest! {
         while w.step() {
             prop_assert!(w.now() >= prev);
             prev = w.now();
+        }
+    }
+
+    /// Allocate-on-write storage is invisible: random scripts of
+    /// control-plane reads/writes and SALU programs (every condition form,
+    /// comparison, update and export) give the same exported values, PHV
+    /// writes, slot contents and wrap trace as an eagerly zeroed
+    /// reference, and only arrays that were written become resident.
+    #[test]
+    fn lazy_registers_match_eager_reference(
+        script in prop::collection::vec(
+            (0u8..3, 0usize..3, 0u64..40, any::<u64>(), any::<u64>(), (any::<u64>(), any::<u64>())),
+            1..300,
+        )
+    ) {
+        let mut t = FieldTable::new();
+        let (fa, fb) = (t.intern("meta.a", 64), t.intern("meta.b", 16));
+        let outs = [t.intern("meta.out", 32), t.intern("meta.out8", 8)];
+        let (mut phv, mut ref_phv) = (t.new_phv(), t.new_phv());
+        let mut rf = RegisterFile::new();
+        rf.set_trace_wraps(true);
+        let shapes = [(8u32, 1usize), (32, 5), (64, 16)];
+        let ids: Vec<RegId> =
+            shapes.iter().map(|&(w, d)| rf.alloc(&format!("r{w}"), w, d)).collect();
+        let mut reference = EagerRegisters::new(&shapes);
+        let mut written = [false; 3];
+
+        for (kind, a, idx, value, bits, (va, vb)) in script {
+            match kind {
+                0 => prop_assert_eq!(
+                    rf.array(ids[a]).cp_read(idx as usize),
+                    reference.slots[a][idx as usize % shapes[a].1]
+                ),
+                1 => {
+                    rf.array_mut(ids[a]).cp_write(idx as usize, value);
+                    reference.slots[a][idx as usize % shapes[a].1] = value & mask_for(shapes[a].0);
+                    written[a] = true;
+                }
+                _ => {
+                    for p in [&mut phv, &mut ref_phv] {
+                        p.set(&t, fa, va);
+                        p.set(&t, fb, vb);
+                    }
+                    let prog = decode_program(bits, value, fa, fb, outs);
+                    let got = rf.execute(ids[a], idx, &prog, &mut phv, &t);
+                    let want = reference.execute(a, ids[a], idx, &prog, &mut ref_phv, &t);
+                    prop_assert_eq!(got, want);
+                    for f in [fa, fb, outs[0], outs[1]] {
+                        prop_assert_eq!(phv.get(f), ref_phv.get(f));
+                    }
+                    written[a] = true;
+                }
+            }
+        }
+        prop_assert_eq!(rf.wraps(), reference.wraps);
+        prop_assert_eq!(rf.wrap_log(), reference.log.as_slice());
+        let mut resident = 0;
+        for (a, &(_, depth)) in shapes.iter().enumerate() {
+            for i in 0..depth {
+                prop_assert_eq!(rf.array(ids[a]).cp_read(i), reference.slots[a][i]);
+            }
+            if written[a] {
+                resident += depth * 8;
+            }
+        }
+        prop_assert_eq!(rf.resident_bytes(), resident);
+    }
+}
+
+/// Builds a SALU program from random bits, reaching every variant.
+fn decode_program(
+    mut bits: u64,
+    value: u64,
+    fa: FieldId,
+    fb: FieldId,
+    outs: [FieldId; 2],
+) -> SaluProgram {
+    let mut take = |n: u64| {
+        let v = bits % n;
+        bits /= n;
+        v
+    };
+    let operand = |sel: u64| match sel {
+        0 => SaluOperand::Const(value & 0xff),
+        1 => SaluOperand::Const(value),
+        2 => SaluOperand::Field(fa),
+        _ => SaluOperand::Field(fb),
+    };
+    let cmps = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge];
+    let condition = match take(5) {
+        0 => None,
+        e => {
+            let op = operand(take(4));
+            let expr = match e {
+                1 => CondExpr::Reg,
+                2 => CondExpr::Operand(op),
+                3 => CondExpr::OperandMinusReg(op),
+                _ => CondExpr::RegMinusOperand(op),
+            };
+            let cmp = cmps[take(6) as usize];
+            Some(SaluCond { expr, cmp, rhs: operand(take(4)) })
+        }
+    };
+    let update = |sel: u64, op: SaluOperand| match sel {
+        0 => SaluUpdate::Keep,
+        1 => SaluUpdate::Set(op),
+        2 => SaluUpdate::Add(op),
+        _ => SaluUpdate::Sub(op),
+    };
+    let (t_sel, t_op, f_sel, f_op) = (take(4), take(4), take(4), take(4));
+    let on_true = update(t_sel, operand(t_op));
+    let on_false = update(f_sel, operand(f_op));
+    let output = match take(4) {
+        0 => None,
+        s => {
+            let src = [SaluOutputSrc::OldValue, SaluOutputSrc::NewValue, SaluOutputSrc::CondFlag]
+                [s as usize - 1];
+            Some(SaluOutput { dst: outs[take(2) as usize], src })
+        }
+    };
+    SaluProgram { condition, on_true, on_false, output }
+}
+
+/// Eagerly zeroed register arrays with SALU semantics written out from
+/// the definitions: updates are computed exactly in `i128` and reduced
+/// modulo the lane, and a wrap is any update whose exact result differs
+/// from its reduction.
+struct EagerRegisters {
+    widths: Vec<u32>,
+    slots: Vec<Vec<u64>>,
+    wraps: u64,
+    log: Vec<WrapEvent>,
+}
+
+impl EagerRegisters {
+    fn new(shapes: &[(u32, usize)]) -> Self {
+        EagerRegisters {
+            widths: shapes.iter().map(|s| s.0).collect(),
+            slots: shapes.iter().map(|s| vec![0; s.1]).collect(),
+            wraps: 0,
+            log: Vec::new(),
+        }
+    }
+
+    fn execute(
+        &mut self,
+        a: usize,
+        id: RegId,
+        idx: u64,
+        prog: &SaluProgram,
+        phv: &mut Phv,
+        t: &FieldTable,
+    ) -> u64 {
+        let mask = mask_for(self.widths[a]);
+        let slot = idx as usize % self.slots[a].len();
+        let old = self.slots[a][slot];
+        let eval = |op: SaluOperand, phv: &Phv| match op {
+            SaluOperand::Const(c) => c,
+            SaluOperand::Field(f) => phv.get(f),
+        };
+        let cond = prog.condition.is_none_or(|c| {
+            let lhs = match c.expr {
+                CondExpr::Reg => old,
+                CondExpr::Operand(o) => eval(o, phv) & mask,
+                CondExpr::OperandMinusReg(o) => eval(o, phv).wrapping_sub(old) & mask,
+                CondExpr::RegMinusOperand(o) => old.wrapping_sub(eval(o, phv)) & mask,
+            };
+            let rhs = eval(c.rhs, phv) & mask;
+            match c.cmp {
+                Cmp::Eq => lhs == rhs,
+                Cmp::Ne => lhs != rhs,
+                Cmp::Lt => lhs < rhs,
+                Cmp::Le => lhs <= rhs,
+                Cmp::Gt => lhs > rhs,
+                Cmp::Ge => lhs >= rhs,
+            }
+        });
+        let exact = match if cond { prog.on_true } else { prog.on_false } {
+            SaluUpdate::Keep => i128::from(old),
+            SaluUpdate::Set(o) => i128::from(eval(o, phv)),
+            SaluUpdate::Add(o) => i128::from(old) + i128::from(eval(o, phv)),
+            SaluUpdate::Sub(o) => i128::from(old) - i128::from(eval(o, phv)),
+        };
+        let new = exact.rem_euclid(i128::from(mask) + 1) as u64;
+        if i128::from(new) != exact {
+            self.wraps += 1;
+            if self.log.len() < WRAP_LOG_CAP {
+                self.log.push(WrapEvent { reg: id, slot });
+            }
+        }
+        self.slots[a][slot] = new;
+        match prog.output {
+            None => new,
+            Some(out) => {
+                let v = match out.src {
+                    SaluOutputSrc::OldValue => old,
+                    SaluOutputSrc::NewValue => new,
+                    SaluOutputSrc::CondFlag => u64::from(cond),
+                };
+                phv.set(t, out.dst, v);
+                v
+            }
         }
     }
 }

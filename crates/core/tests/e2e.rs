@@ -5,7 +5,7 @@ use ht_asic::phv::fields;
 use ht_asic::time::{ms, us, PS_PER_SEC};
 use ht_asic::{LinkSpec, Switch, World};
 use ht_core::{build, distinct_count, global_value, keyed_results, Gbps, TesterConfig};
-use ht_cpu::SwitchCpu;
+use ht_cpu::{PullMode, SwitchCpu};
 use ht_dut::{Sink, TcpResponder};
 use ht_ntapi::{compile, parse};
 use ht_packet::wire::{gbps, line_rate_pps};
@@ -356,4 +356,72 @@ Q1 = query().map(p -> (pkt_len)).reduce(func=max)
     w.run_until(ms(1));
     let sw_ref: &Switch = w.device(sw);
     assert_eq!(global_value(sw_ref, &bt.handles.queries["Q1"]), 512);
+}
+
+#[test]
+fn register_state_stays_unallocated_until_written() {
+    // The stateless-connections task: a keyed query plus three triggers
+    // fed from captures, declaring ~3 MiB of cuckoo and FIFO arrays.
+    let src = r#"
+T1 = trigger().set([dip, dport, proto, flag, seq_no], [9.9.9.9, 80, tcp, SYN, 1])
+    .set(sport, range(1024, 2047, 1)).set(interval, 10us)
+Q1 = query().filter(tcp_flag == SYN+ACK)
+T2 = trigger(Q1).set([dip, sip], [Q1.sip, Q1.dip])
+    .set([dport, sport], [Q1.sport, Q1.dport])
+    .set([flag, seq_no, ack_no], [ACK, Q1.ack_no, Q1.seq_no + 1])
+T3 = trigger(Q1).set([dip, sip], [Q1.sip, Q1.dip])
+    .set([dport, sport], [Q1.sport, Q1.dport])
+    .set([flag, seq_no, ack_no], [PSH+ACK, Q1.ack_no, Q1.seq_no + 1])
+    .set(payload, "GET index.html")
+Q4 = query().filter(tcp_flag == FIN)
+T6 = trigger(Q4).set([dip, sip], [Q4.sip, Q4.dip])
+    .set([dport, sport], [Q4.sport, Q4.dport])
+    .set([flag, ack_no], [FIN+ACK, Q4.seq_no + 1])
+Q5 = query().filter(tcp_flag == SYN+ACK).reduce(func=count)
+Q6 = query().filter(tcp_flag == SYN+ACK).reduce(keys=[dport], func=count)
+"#;
+    let task = compile(&parse(src).unwrap()).unwrap();
+    let mut bt =
+        build(&task, &TesterConfig::builder().ports(1).speed(Gbps(100)).build().unwrap()).unwrap();
+    let regs = &bt.switch.regs;
+    let declared: usize = regs.iter().map(|a| a.depth() * 8).sum();
+    assert!(declared > 2 << 20, "declared {declared} B");
+    assert!(regs.resident_bytes() < 4096, "resident {} B after build", regs.resident_bytes());
+    let fin_fifo: Vec<_> = (0..regs.len())
+        .map(|i| ht_asic::register::RegId(i as u16))
+        .filter(|&r| regs.array(r).name().starts_with("trig_q4_t6_data"))
+        .collect();
+    assert!(!fin_fifo.is_empty());
+
+    let mut all = Vec::new();
+    for i in 0..bt.templates.len() {
+        all.extend(bt.template_copies(i, 4));
+    }
+    let mut w = World::builder().seed(1).build().unwrap();
+    let sw = w.add_device(Box::new(bt.switch));
+    let srv = w.add_device(Box::new(TcpResponder::new("server", us(2))));
+    w.link((sw, 0), (srv, 0), LinkSpec::new().delay(us(1)));
+    SwitchCpu::new().inject_templates(&mut w, sw, all, 0);
+    w.run_until(ms(1));
+
+    let sw_ref: &Switch = w.device(sw);
+    assert!(global_value(sw_ref, &bt.handles.queries["Q5"]) > 0);
+    let resident = sw_ref.regs.resident_bytes();
+    assert!(resident > 0 && resident < declared, "resident {resident} of {declared} B");
+    // No FIN was ever captured: its FIFO's record storage was never
+    // written, pulling it reads zeros without allocating it, and a first
+    // write makes exactly its declared slots resident.
+    for &r in &fin_fifo {
+        let depth = sw_ref.regs.array(r).depth();
+        let pulled = SwitchCpu::new().pull_counters(sw_ref, r, depth, PullMode::Batch);
+        assert!(pulled.values.iter().all(|&v| v == 0));
+    }
+    assert_eq!(sw_ref.regs.resident_bytes(), resident);
+    let sw_mut: &mut Switch = w.device_mut(sw);
+    let mut fifo_bytes = 0;
+    for &r in &fin_fifo {
+        fifo_bytes += sw_mut.regs.array(r).depth() * 8;
+        sw_mut.regs.array_mut(r).cp_write(0, 1);
+    }
+    assert_eq!(sw_mut.regs.resident_bytes(), resident + fifo_bytes);
 }

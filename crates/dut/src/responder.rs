@@ -91,7 +91,7 @@ impl TcpResponder {
         let phv = parser::parse(&self.fields, &bytes).expect("self-built frame parses");
         let uid = self.uid_next;
         self.uid_next += 1;
-        SimPacket { phv, body: Some(std::sync::Arc::new(bytes)), uid }
+        SimPacket { phv, body: None, uid }
     }
 }
 
