@@ -9,6 +9,10 @@
 //! deliberately excluded, so the fingerprint is stable across executions
 //! and only changes when the *program* changes.
 //!
+//! [`Fnv1a`] is the workspace's one FNV-1a 64 hasher: switch fingerprints,
+//! experiment result digests, IR table summaries and fuzz digests all
+//! stream their bytes through it.
+//!
 //! Hash-map-backed collections (exact-match entries, multicast groups,
 //! ports) are sorted before rendering, so two switches built through
 //! different code paths but describing the same program hash identically.
@@ -20,19 +24,43 @@ use crate::pipeline::Pipeline;
 use crate::switch::Switch;
 use std::fmt::Write;
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// A streaming FNV-1a 64 hasher.  Callers choose how a value becomes
+/// bytes (e.g. `to_le_bytes` or `to_be_bytes`), so a digest's byte order
+/// is visible where it is computed.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV-1a 64 offset basis.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// FNV-1a 64 over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// The canonical text rendering hashed by [`program_fingerprint`].
@@ -120,6 +148,16 @@ mod tests {
     use crate::phv::fields;
     use crate::table::{MatchKey, MatchKind, Table};
     use crate::tm::McastMember;
+
+    #[test]
+    fn fnv_is_stable() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let mut h = Fnv1a::new();
+        h.write(b"a");
+        h.write(b"b");
+        assert_eq!(h.finish(), fnv1a(b"ab"));
+    }
 
     fn keyed_table() -> Table {
         Table::new("t", MatchKind::Exact, vec![fields::IPV4_DST], 8, ActionSet::nop())

@@ -9,6 +9,7 @@
 //! source, same port/speed configuration — so a fingerprint match means
 //! the refactor is behavior-preserving for the whole suite.
 
+use crate::experiments::{multiport_src, random_src, rate_src, throughput_src};
 use ht_asic::fingerprint::program_fingerprint;
 use ht_asic::Switch;
 use ht_core::TesterConfig;
@@ -55,36 +56,6 @@ impl CorpusEntry {
         self.speed_bps = speed_bps;
         self
     }
-}
-
-fn throughput_src(len: usize) -> String {
-    format!(
-        "T1 = trigger().set([dip, sip, proto, dport, sport], [10.0.0.2, 10.0.0.1, udp, 1, 1])\n\
-         .set(pkt_len, {len})"
-    )
-}
-
-fn multiport_src(len: usize, ports: u16) -> String {
-    let list: Vec<String> = (0..ports).map(|p| p.to_string()).collect();
-    format!(
-        "T1 = trigger().set([dip, sip, proto, dport, sport], [10.0.0.2, 10.0.0.1, udp, 1, 1])\n\
-         .set(pkt_len, {len}).set(port, [{}])",
-        list.join(", ")
-    )
-}
-
-fn rate_src(interval_ns: u64, len: usize) -> String {
-    format!(
-        "T1 = trigger().set([dip, sip, proto], [10.0.0.2, 10.0.0.1, udp])\n\
-         .set(pkt_len, {len}).set(interval, {interval_ns}ns)"
-    )
-}
-
-fn random_src(dist: &str) -> String {
-    format!(
-        "T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)\n\
-         .set(dport, {dist})"
-    )
 }
 
 /// The corpus: the three `tasks/*.nt` applications plus one program per

@@ -59,14 +59,16 @@ pub fn table5_loc() -> Vec<LocRow> {
 
 // ------------------------------------------------------------- Figs 9, 10
 
-fn throughput_src(len: usize) -> String {
+/// The Fig. 9 task: one UDP flow of `len`-byte frames.
+pub(crate) fn throughput_src(len: usize) -> String {
     format!(
         "T1 = trigger().set([dip, sip, proto, dport, sport], [10.0.0.2, 10.0.0.1, udp, 1, 1])\n\
          .set(pkt_len, {len})"
     )
 }
 
-fn multiport_src(len: usize, ports: u16) -> String {
+/// The Fig. 10 task: [`throughput_src`] replicated to ports `0..ports`.
+pub(crate) fn multiport_src(len: usize, ports: u16) -> String {
     let list: Vec<String> = (0..ports).map(|p| p.to_string()).collect();
     format!(
         "T1 = trigger().set([dip, sip, proto, dport, sport], [10.0.0.2, 10.0.0.1, udp, 1, 1])\n\
@@ -186,6 +188,15 @@ pub fn ht_rate_control(rate_pps: u64, frame_len: usize, speed_bps: u64) -> RateC
     )
 }
 
+/// The Figs. 11/12 task: one UDP flow of `len`-byte frames, one every
+/// `interval_ns`.
+pub(crate) fn rate_src(interval_ns: u64, len: usize) -> String {
+    format!(
+        "T1 = trigger().set([dip, sip, proto], [10.0.0.2, 10.0.0.1, udp])\n\
+         .set(pkt_len, {len}).set(interval, {interval_ns}ns)"
+    )
+}
+
 /// Rate-control accuracy with an explicit number of circulating template
 /// copies — the precision ↔ capacity ablation: the timer quantum is
 /// `RTT / copies`.
@@ -196,11 +207,7 @@ pub fn ht_rate_control_with_copies(
     copies: usize,
 ) -> RateControlPoint {
     let interval_ps = PS_PER_SEC / rate_pps;
-    let src = format!(
-        "T1 = trigger().set([dip, sip, proto], [10.0.0.2, 10.0.0.1, udp])\n\
-         .set(pkt_len, {frame_len}).set(interval, {}ns)",
-        interval_ps / 1000
-    );
+    let src = rate_src(interval_ps / 1000, frame_len);
     // Window sized for ≈30k samples, capped to keep big sweeps fast.
     let window = (interval_ps * 30_000).clamp(ms(1), ms(50));
     let ports = run(RunSpec {
@@ -242,13 +249,18 @@ pub fn mg_rate_control(
 
 // ---------------------------------------------------------------- Fig 13
 
+/// The Fig. 13 task: 64-byte frames whose `dport` is drawn from `dist`.
+pub(crate) fn random_src(dist: &str) -> String {
+    format!(
+        "T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)\n\
+         .set(dport, {dist})"
+    )
+}
+
 /// Q-Q validation of on-ASIC random generation: returns
 /// `(samples, deciles of (theoretical, empirical))` for the distribution.
 pub fn fig13_random(dist_src: &str, dist: ht_stats::Distribution) -> (usize, Vec<(f64, f64)>, f64) {
-    let src = format!(
-        "T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)\n\
-         .set(dport, {dist_src})"
-    );
+    let src = random_src(dist_src);
     let task = compile(&parse(&src).unwrap()).unwrap();
     let mut built = ht_core::build(&task, &cfg(1)).unwrap();
     let templates = built.template_copies(0, 32);

@@ -50,6 +50,7 @@
 //! stream, the simulator seed is fixed, and no wall-clock time is read —
 //! `htctl fuzz --cases N --seed S` always reproduces byte-identically.
 
+use ht_asic::fingerprint::Fnv1a;
 use ht_asic::register::RegId;
 use ht_asic::switch::Switch;
 use ht_asic::time::us;
@@ -58,7 +59,7 @@ use ht_core::results::keyed_by_digest;
 use ht_core::{build, TesterConfig};
 use ht_cpu::SwitchCpu;
 use ht_dut::Sink;
-use ht_lint::proven_nowrap_regs;
+use ht_lint::{analyze_switch, proven_nowrap_regs};
 use ht_ntapi::ast::{
     Arg, DistSpec, HeaderField, ImportDecl, InstanceDecl, Item, NtField, QueryDef, ReduceFunc,
     Span, TemplateBody, TemplateDecl, TriggerDef, Value,
@@ -481,21 +482,6 @@ pub enum CaseOutcome {
     Violated(Violation),
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 struct SimSummary {
     digest: u64,
     proven_wrap_events: usize,
@@ -552,7 +538,10 @@ fn simulate(task: &CompiledTask, exec: ExecMode) -> SimResult {
         .collect();
     keyed.sort_by(|a, b| a.name.cmp(&b.name));
     let loopback = !keyed.is_empty();
-    let proven: HashSet<RegId> = proven_nowrap_regs(&built.switch).into_iter().collect();
+    let proven: HashSet<RegId> = analyze_switch(&built.switch)
+        .map_or_else(Vec::new, |a| proven_nowrap_regs(&built.switch, &a))
+        .into_iter()
+        .collect();
     built.switch.regs.set_trace_wraps(true);
     built.switch.set_exec_mode(exec);
 
@@ -575,20 +564,20 @@ fn simulate(task: &CompiledTask, exec: ExecMode) -> SimResult {
     SwitchCpu::new().inject_templates(&mut world, tester, templates, 0);
     world.run_until(us(WINDOW_US));
 
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     {
         let sink: &Sink = world.device(sink_id);
         for p in 0..SIM_PORTS {
             let (frames, bytes) = sink.ports.get(&p).map_or((0, 0), |s| (s.frames, s.bytes));
-            h.u64(u64::from(p));
-            h.u64(frames);
-            h.u64(bytes);
+            h.write(&u64::from(p).to_le_bytes());
+            h.write(&frames.to_le_bytes());
+            h.write(&bytes.to_le_bytes());
         }
     }
     let sw: &Switch = world.device(tester);
     for arr in sw.regs.iter() {
         for i in 0..arr.depth().min(DIGEST_SLOTS) {
-            h.u64(arr.cp_read(i));
+            h.write(&arr.cp_read(i).to_le_bytes());
         }
     }
     let (mut reported_flows, mut rogue_flows) = (0usize, 0usize);
@@ -632,7 +621,7 @@ fn simulate(task: &CompiledTask, exec: ExecMode) -> SimResult {
     }
     let proven_wrap_events = sw.regs.wrap_log().iter().filter(|e| proven.contains(&e.reg)).count();
     SimResult::Ran(SimSummary {
-        digest: h.0,
+        digest: h.finish(),
         proven_wrap_events,
         wrap_events: sw.regs.wrap_log().len(),
         recirculations: sw.counters.recirculations,
@@ -1041,11 +1030,11 @@ pub fn corpus_entry(f: &FuzzFailure) -> String {
 
 /// Deterministic corpus file name for a failure.
 pub fn corpus_file_name(f: &FuzzFailure) -> String {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     for b in f.minimized.to_line().bytes() {
-        h.u64(u64::from(b));
+        h.write(&u64::from(b).to_le_bytes());
     }
-    format!("{}-{:016x}.case", f.violation.invariant.to_lowercase(), h.0)
+    format!("{}-{:016x}.case", f.violation.invariant.to_lowercase(), h.finish())
 }
 
 /// Writes a failure into the corpus directory, returning the path.

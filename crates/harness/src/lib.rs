@@ -243,18 +243,8 @@ pub trait Shard: Send + Sync {
     fn run(&self, scale: Scale) -> RunOutput;
 }
 
-/// FNV-1a 64-bit digest used for result fingerprints in `BENCH.json`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Digest of an experiment's deterministic payload (lines + check
-/// verdicts).
+/// verdicts): FNV-1a 64, the result fingerprint in `BENCH.json`.
 pub fn result_digest(out: &RunOutput) -> u64 {
     let mut buf = String::new();
     for l in &out.lines {
@@ -266,18 +256,12 @@ pub fn result_digest(out: &RunOutput) -> u64 {
         buf.push_str(&c.name);
         buf.push(if c.pass { '+' } else { '-' });
     }
-    fnv1a(buf.as_bytes())
+    ht_asic::fingerprint::fnv1a(buf.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn table_buffers_rows() {

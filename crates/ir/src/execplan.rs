@@ -7,9 +7,9 @@
 //! the built switch is flipped to `ExecMode::Compiled`: each
 //! [`EditSpec`](crate::template::EditSpec) becomes a short run of flat
 //! ops, single-value lists constant-fold away into the CPU-installed
-//! template base, and the remaining op mix is recorded per template.  The
-//! plan lets `htctl compile --dump-ir` consumers and the `--profile`
-//! report reason about executor cost without building a switch.
+//! template base, and the remaining op mix is recorded per template.
+//! Nothing reads `module.plan.exec` today: neither `--dump-ir` nor any
+//! report renders it, and the executor compiles from the built switch.
 //!
 //! Like [`Provenance`](crate::module::Provenance), the plan is
 //! deliberately **not** rendered by `Module::to_text`/`Module::to_json`,

@@ -16,6 +16,7 @@ use crate::field::QuerySource;
 use crate::module::Module;
 use crate::query::{CompiledQuery, QueryKind};
 use crate::template::{EditSpec, TemplateSpec};
+use ht_asic::fingerprint::Fnv1a;
 use std::fmt::Write;
 
 /// Value lists up to this length render inline; longer ones render as
@@ -25,14 +26,11 @@ pub const INLINE_VALUES: usize = 16;
 /// FNV-1a 64 over a slice of values (big-endian byte order), used to
 /// summarize elided tables.
 fn fnv_values(values: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for v in values {
-        for b in v.to_be_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&v.to_be_bytes());
     }
-    h
+    h.finish()
 }
 
 fn u64_list(values: &[u64]) -> String {

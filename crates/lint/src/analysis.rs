@@ -13,7 +13,9 @@
 //! * a backward **liveness analysis** ([`BitSet`] of live field ids) run
 //!   as the forward solver over [`Cfg::reversed`].
 //!
-//! Four program passes consume the solutions:
+//! [`analyze_switch`] is the one place the two problems are solved; the
+//! four program passes and the fact consumers below all take the solved
+//! [`SwitchAnalysis`]:
 //!
 //! * [`check_reachability`] — gateway predicates that are statically
 //!   false (`gateway-false`), semantically unsatisfiable under the proven
@@ -25,11 +27,12 @@
 //!   can never match the proven field values (`unreachable-action`).
 //! * [`check_salu_range`] — SALU operands whose proven range exceeds the
 //!   register lane and will silently truncate or wrap
-//!   (`salu-range-overflow`), plus [`proven_nowrap_regs`], the
-//!   no-overflow certificates the fuzz oracle cross-checks against
-//!   execution traces.
+//!   (`salu-range-overflow`).
+//! * [`proven_nowrap_regs`] — the no-overflow certificates the fuzz oracle
+//!   cross-checks against execution traces.
+//! * [`dump_facts`] — the `htctl analyze --dump-facts` views.
 
-use crate::{field_name, is_dynamic, op_reads, op_write, pipelines};
+use crate::{extern_regs, field_name, is_dynamic, op_reads, op_write, pipelines, read_anywhere};
 use ht_asic::action::PrimitiveOp;
 use ht_asic::phv::{fields, mask_for, FieldId, FieldTable};
 use ht_asic::register::{Cmp, CondExpr, RegId, SaluCond, SaluOperand, SaluProgram, SaluUpdate};
@@ -549,6 +552,8 @@ pub struct SwitchAnalysis {
 /// (lawful widening makes this unreachable, but callers degrade to "no
 /// facts proven" rather than panicking inside a build).
 pub fn analyze_switch(sw: &Switch) -> Option<SwitchAnalysis> {
+    #[cfg(test)]
+    crate::tests::SOLVES.with(|n| n.set(n.get() + 1));
     let PipelineCfg { cfg, nodes } = build_cfg(sw);
     let recirc = recirc_possible(sw);
     let value = solve(&cfg, &ValueTransfer::new(sw, &nodes)).ok()?;
@@ -571,6 +576,19 @@ impl SwitchAnalysis {
 
     fn table_nodes(&self) -> impl Iterator<Item = (usize, Node)> + '_ {
         self.nodes.iter().copied().enumerate().filter(|(_, n)| matches!(n, Node::Table(..)))
+    }
+
+    /// The proven environment a table's actions run under: the table's
+    /// entry facts refined through its gateways (a contradicting gateway
+    /// refines nothing).  `None` when the table is unreachable.
+    fn action_env(&self, node: usize, t: &Table) -> Option<Env> {
+        let mut env = self.value.pre[node].clone()?;
+        for gw in t.gateways() {
+            if let Some(f) = gw_refine(env.get(slot(gw.field)), gw) {
+                env.set(slot(gw.field), f);
+            }
+        }
+        Some(env)
     }
 }
 
@@ -620,12 +638,9 @@ fn gw_text(ft: &FieldTable, gw: &Gateway) -> String {
 /// the old syntactic pair contradictions *and* contradictions only value
 /// flow can see (`gateway-contradiction`, error) — and syntactic
 /// tautologies (`gateway-redundant`, warning).
-pub fn check_reachability(sw: &Switch) -> LintReport {
+pub fn check_reachability(sw: &Switch, a: &SwitchAnalysis) -> LintReport {
     let mut report = LintReport::new();
     let ft = &sw.fields;
-    let Some(a) = analyze_switch(sw) else {
-        return report;
-    };
     for (ni, n) in a.table_nodes() {
         let t = node_table(sw, n).expect("table node");
         let at = node_loc(sw, n);
@@ -694,34 +709,11 @@ pub fn check_reachability(sw: &Switch) -> LintReport {
 /// warning).  Fields nothing reads anywhere are left to `phv-dead-write`;
 /// this pass claims only edits whose field *is* read somewhere, just never
 /// after this particular write.
-pub fn check_dead_field_edits(sw: &Switch) -> LintReport {
+pub fn check_dead_field_edits(sw: &Switch, a: &SwitchAnalysis) -> LintReport {
     let mut report = LintReport::new();
-    let Some(a) = analyze_switch(sw) else {
-        return report;
-    };
     let ft = &sw.fields;
-
-    // Fields read anywhere (tables, gateways, keys, externs) — writes to
-    // never-read fields are phv-dead-write's finding, not ours.
-    let mut read_anywhere: HashSet<FieldId> = HashSet::new();
-    for (_, pipe) in pipelines(sw) {
-        for stage in &pipe.stages {
-            for t in &stage.tables {
-                for gw in t.gateways() {
-                    read_anywhere.insert(gw.field);
-                }
-                read_anywhere.extend(t.key_fields().iter().copied());
-                for act in t.actions() {
-                    for op in &act.ops {
-                        read_anywhere.extend(op_reads(op));
-                    }
-                }
-            }
-            for e in &stage.externs {
-                read_anywhere.extend(e.reads());
-            }
-        }
-    }
+    // Writes to never-read fields are phv-dead-write's finding, not ours.
+    let read_anywhere = read_anywhere(sw);
 
     for (ni, n) in a.table_nodes() {
         let t = node_table(sw, n).expect("table node");
@@ -785,11 +777,8 @@ fn key_text(ft: &FieldTable, t: &Table, key: &MatchKey) -> String {
 /// Reports installed entries whose keys can never match under the proven
 /// field values (`unreachable-action`, warning).  Index tables and tables
 /// above [`SMALL_TABLE_MAX`] entries are skipped.
-pub fn check_unreachable_actions(sw: &Switch) -> LintReport {
+pub fn check_unreachable_actions(sw: &Switch, a: &SwitchAnalysis) -> LintReport {
     let mut report = LintReport::new();
-    let Some(a) = analyze_switch(sw) else {
-        return report;
-    };
     let ft = &sw.fields;
     for (ni, n) in a.table_nodes() {
         let t = node_table(sw, n).expect("table node");
@@ -844,22 +833,12 @@ fn operand_text(ft: &FieldTable, op: &SaluOperand) -> String {
 /// Reports SALU update operands whose proven range exceeds the register
 /// lane (`salu-range-overflow`, warning): a `Set` silently truncates, an
 /// `Add`/`Sub` wraps the stored value.
-pub fn check_salu_range(sw: &Switch) -> LintReport {
+pub fn check_salu_range(sw: &Switch, a: &SwitchAnalysis) -> LintReport {
     let mut report = LintReport::new();
-    let Some(a) = analyze_switch(sw) else {
-        return report;
-    };
     let ft = &sw.fields;
     for (ni, n) in a.table_nodes() {
         let t = node_table(sw, n).expect("table node");
-        let Some(pre) = &a.value.pre[ni] else { continue };
-        // Actions execute under the gateway-refined environment.
-        let mut env = pre.clone();
-        for gw in t.gateways() {
-            if let Some(f) = gw_refine(env.get(slot(gw.field)), gw) {
-                env.set(slot(gw.field), f);
-            }
-        }
+        let Some(env) = a.action_env(ni, t) else { continue };
         let at = node_loc(sw, n);
         for act in t.actions() {
             for op in &act.ops {
@@ -926,32 +905,12 @@ fn salu_program_nowrap(prog: &SaluProgram, env: &Env, lane: u64) -> bool {
 /// touching them is no-wrap under the value analysis, and no extern owns
 /// them (extern lowering is outside the analysis).  The fuzz oracle
 /// cross-checks these certificates against execution-trace wrap events.
-pub fn proven_nowrap_regs(sw: &Switch) -> Vec<RegId> {
-    let Some(a) = analyze_switch(sw) else {
-        return Vec::new();
-    };
-    let extern_owned: HashSet<RegId> = pipelines(sw)
-        .iter()
-        .flat_map(|(_, p)| p.stages.iter())
-        .flat_map(|s| s.externs.iter())
-        .flat_map(|e| e.registers())
-        .collect();
+pub fn proven_nowrap_regs(sw: &Switch, a: &SwitchAnalysis) -> Vec<RegId> {
     let mut touched: Vec<RegId> = Vec::new();
     let mut broken: HashSet<RegId> = HashSet::new();
     for (ni, n) in a.table_nodes() {
         let t = node_table(sw, n).expect("table node");
-        let env = match &a.value.pre[ni] {
-            Some(pre) => {
-                let mut env = pre.clone();
-                for gw in t.gateways() {
-                    if let Some(f) = gw_refine(env.get(slot(gw.field)), gw) {
-                        env.set(slot(gw.field), f);
-                    }
-                }
-                env
-            }
-            None => continue,
-        };
+        let Some(env) = a.action_env(ni, t) else { continue };
         for act in t.actions() {
             for op in &act.ops {
                 let PrimitiveOp::Salu { reg, program, .. } = op else { continue };
@@ -965,6 +924,7 @@ pub fn proven_nowrap_regs(sw: &Switch) -> Vec<RegId> {
             }
         }
     }
+    let extern_owned = extern_regs(sw);
     touched.retain(|r| !broken.contains(r) && !extern_owned.contains(r));
     touched
 }
@@ -976,10 +936,9 @@ pub fn proven_nowrap_regs(sw: &Switch) -> Vec<RegId> {
 /// The fact-dump views `htctl analyze --dump-facts=PASS` accepts.
 pub const FACT_PASSES: [&str; 4] = ["value", "liveness", "reachability", "salu-range"];
 
-/// Renders one analysis view as deterministic text; `None` for an unknown
-/// pass name (see [`FACT_PASSES`]).
-pub fn dump_facts(sw: &Switch, pass: &str) -> Option<String> {
-    let a = analyze_switch(sw)?;
+/// Renders one view of the solved analysis as deterministic text; `None`
+/// for an unknown pass name (see [`FACT_PASSES`]).
+pub fn dump_facts(sw: &Switch, a: &SwitchAnalysis, pass: &str) -> Option<String> {
     let ft = &sw.fields;
     let mut out = String::new();
     let w = &mut out;
@@ -1045,7 +1004,7 @@ pub fn dump_facts(sw: &Switch, pass: &str) -> Option<String> {
         }
         "salu-range" => {
             let _ = writeln!(w, "# register arrays proven never to wrap");
-            for reg in proven_nowrap_regs(sw) {
+            for reg in proven_nowrap_regs(sw, a) {
                 let arr = sw.regs.array(reg);
                 let _ = writeln!(w, "{} ({} x {}-bit)", arr.name(), arr.depth(), arr.width());
             }

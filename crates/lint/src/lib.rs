@@ -21,8 +21,8 @@
 //! 5. **Replication & recirculation** ([`check_replication`]) — multicast
 //!    members must name real ports; recirculation must be bounded by
 //!    CPU-managed template residency (§5.1's accelerator).
-//! 6. **Gateway reachability** ([`check_gateways`]) — statically-false or
-//!    semantically-unsatisfiable predicates that turn a table into dead
+//! 6. **Gateway reachability** ([`check_reachability`]) — statically-false
+//!    or semantically-unsatisfiable predicates that turn a table into dead
 //!    logic, proven by abstract interpretation over the pipeline CFG.
 //! 7. **Dead field edits** ([`check_dead_field_edits`]) — metadata writes
 //!    provably overwritten before any read (liveness dataflow).
@@ -31,15 +31,19 @@
 //! 9. **SALU value ranges** ([`check_salu_range`]) — stateful-ALU operands
 //!    whose proven range exceeds the register lane and silently wraps.
 //!
-//! Passes 6–9 consume the abstract-interpretation dataflow solutions of
-//! the [`analysis`] module (interval/known-bits value analysis and
-//! field liveness over the pipeline CFG, recirculation loop included).
+//! Passes 6–9 read the abstract-interpretation dataflow solutions of the
+//! [`analysis`] module (interval/known-bits value analysis and field
+//! liveness over the pipeline CFG, recirculation loop included), taken as
+//! one solved [`SwitchAnalysis`].
 //!
-//! The nine checks are registered as IR passes ([`switch_passes`]) on the
-//! shared `ht_ir` pass manager; [`lint_switch`] is the thin wrapper that
-//! runs the pipeline once and returns one [`LintReport`].  The builder in
-//! `ht-core` drives the same pipeline during `build`, storing the report
-//! on the built tester — so the passes run exactly once per compilation.
+//! [`lint_switch`] calls the passes in the order above and returns one
+//! [`LintReport`].  It solves the dataflow once, with [`analyze_switch`],
+//! and hands that solution to passes 6–9; when the solver gives up they
+//! are skipped.  The parser graph is a compile-time constant, so pass 4 is
+//! not part of `lint_switch`: a test asserts the standard graph is clean,
+//! and [`check_parse_graph`] serves graphs built elsewhere.  The builder
+//! in `ht-core` calls `lint_switch` during `build` and stores the report
+//! on the built tester, so the passes run once per compilation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,14 +56,11 @@ use ht_asic::register::{CondExpr, RegId, SaluOperand, SaluUpdate};
 use ht_asic::resources::{table_usage, ResourceUsage};
 use ht_asic::switch::Switch;
 use ht_asic::table::Table;
-use ht_ir::{Pass, PassCx, PassManager};
 use std::collections::{HashMap, HashSet};
-use std::convert::Infallible;
 
 // The diagnostic types (`Severity`, `Diagnostic`, `LintReport`,
-// `json_escape`) moved to `ht-ir` when lowering and verification were
-// unified behind one pass manager; re-exported here so existing
-// `ht_lint::…` spellings keep working.
+// `json_escape`) live in `ht-ir`, shared with the task compiler;
+// re-exported here so `ht_lint::…` spellings work.
 pub use ht_ir::{json_escape, Diagnostic, LintReport, Severity};
 
 pub mod analysis;
@@ -177,6 +178,39 @@ pub(crate) fn pipelines(sw: &Switch) -> [(&'static str, &Pipeline); 2] {
     [("ingress", &sw.ingress), ("egress", &sw.egress)]
 }
 
+/// Register arrays owned by an extern.
+pub(crate) fn extern_regs(sw: &Switch) -> HashSet<RegId> {
+    pipelines(sw)
+        .iter()
+        .flat_map(|(_, p)| p.stages.iter())
+        .flat_map(|s| s.externs.iter())
+        .flat_map(|e| e.registers())
+        .collect()
+}
+
+/// Fields something reads: a gateway, a match key, an action op or an
+/// extern.
+pub(crate) fn read_anywhere(sw: &Switch) -> HashSet<FieldId> {
+    let mut read = HashSet::new();
+    for (_, pipe) in pipelines(sw) {
+        for stage in &pipe.stages {
+            for t in &stage.tables {
+                read.extend(t.gateways().iter().map(|gw| gw.field));
+                read.extend(t.key_fields().iter().copied());
+                for a in t.actions() {
+                    for op in &a.ops {
+                        read.extend(op_reads(op));
+                    }
+                }
+            }
+            for e in &stage.externs {
+                read.extend(e.reads());
+            }
+        }
+    }
+    read
+}
+
 fn loc(pipe: &str, stage: usize, table: &Table) -> String {
     format!("{pipe} stage {stage} table {}", table.name())
 }
@@ -199,12 +233,7 @@ fn loc(pipe: &str, stage: usize, table: &Table) -> String {
 pub fn check_stage_resources(sw: &Switch) -> LintReport {
     let mut report = LintReport::new();
     let cap = ht_asic::resources::stage_capacity();
-    let extern_regs: HashSet<RegId> = pipelines(sw)
-        .iter()
-        .flat_map(|(_, p)| p.stages.iter())
-        .flat_map(|s| s.externs.iter())
-        .flat_map(|e| e.registers())
-        .collect();
+    let extern_regs = extern_regs(sw);
 
     let mut charged: HashSet<RegId> = HashSet::new();
     for (pname, pipe) in pipelines(sw) {
@@ -277,8 +306,6 @@ pub fn check_phv_liveness(sw: &Switch) -> LintReport {
     let mut report = LintReport::new();
     let ft = &sw.fields;
 
-    // Global read set, for dead-write analysis.
-    let mut read_anywhere: HashSet<FieldId> = HashSet::new();
     // (field, location) of every plain write to a dynamic field.
     let mut plain_writes: Vec<(FieldId, String)> = Vec::new();
 
@@ -292,7 +319,6 @@ pub fn check_phv_liveness(sw: &Switch) -> LintReport {
             for t in &stage.tables {
                 let at = loc(pname, si, t);
                 for gw in t.gateways() {
-                    read_anywhere.insert(gw.field);
                     if is_dynamic(gw.field) && !defined.contains(&gw.field) {
                         report.push(Diagnostic::error(
                             "phv-undef-read",
@@ -306,7 +332,6 @@ pub fn check_phv_liveness(sw: &Switch) -> LintReport {
                     }
                 }
                 for &k in t.key_fields() {
-                    read_anywhere.insert(k);
                     if is_dynamic(k) && !defined.contains(&k) {
                         report.push(Diagnostic::error(
                             "phv-undef-read",
@@ -324,7 +349,6 @@ pub fn check_phv_liveness(sw: &Switch) -> LintReport {
                     let mut local = defined.clone();
                     for op in &a.ops {
                         for r in op_reads(op) {
-                            read_anywhere.insert(r);
                             if is_dynamic(r) && !local.contains(&r) {
                                 report.push(Diagnostic::error(
                                     "phv-undef-read",
@@ -350,7 +374,6 @@ pub fn check_phv_liveness(sw: &Switch) -> LintReport {
             }
             for e in &stage.externs {
                 for r in e.reads() {
-                    read_anywhere.insert(r);
                     if is_dynamic(r) && !defined.contains(&r) {
                         report.push(Diagnostic::error(
                             "phv-undef-read",
@@ -368,6 +391,7 @@ pub fn check_phv_liveness(sw: &Switch) -> LintReport {
         }
     }
 
+    let read_anywhere = read_anywhere(sw);
     let mut reported: HashSet<FieldId> = HashSet::new();
     for (f, at) in plain_writes {
         if !read_anywhere.contains(&f) && reported.insert(f) {
@@ -671,101 +695,53 @@ pub fn check_replication(sw: &Switch) -> LintReport {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 6: gateway reachability
-// ---------------------------------------------------------------------------
-
-/// Detects gateway predicates that are statically false (`gateway-false`),
-/// conjunctions that are semantically unsatisfiable under the proven field
-/// values (`gateway-contradiction`) — both make the table dead logic — and
-/// predicates that always hold and thus waste a gateway unit
-/// (`gateway-redundant`, warning).
-///
-/// This used to be a syntactic pairwise interval check; it is now a thin
-/// wrapper over the dataflow-based [`check_reachability`], which strictly
-/// subsumes it: same-field pair contradictions still fall out of
-/// sequential refinement, and contradictions only value flow can see
-/// (a gateway against a field an earlier action pinned to a constant)
-/// are caught too.
-pub fn check_gateways(sw: &Switch) -> LintReport {
-    analysis::check_reachability(sw)
-}
-
-// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
-/// One program pass: a named check function over a built switch, adapted
-/// to the shared pass machinery.
-struct SwitchPass {
-    name: &'static str,
-    check: fn(&Switch) -> LintReport,
-}
-
-impl<'a> Pass<&'a Switch, Infallible> for SwitchPass {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn run(&self, sw: &mut &'a Switch, cx: &mut PassCx) -> Result<(), Infallible> {
-        cx.diagnostics.merge((self.check)(sw));
-        Ok(())
-    }
-}
-
-/// The nine program checks as an ordered [`PassManager`] pipeline, in the
-/// order [`lint_switch`] runs them (the historical six first, then the
-/// dataflow-based passes).
-pub fn switch_passes<'a>() -> PassManager<&'a Switch, Infallible> {
-    let mut pm = PassManager::new();
-    pm.register(SwitchPass { name: "stage-resources", check: check_stage_resources });
-    pm.register(SwitchPass { name: "phv-liveness", check: check_phv_liveness });
-    pm.register(SwitchPass { name: "salu-discipline", check: check_salu_discipline });
-    pm.register(SwitchPass {
-        name: "parse-graph",
-        check: |_sw: &Switch| check_parse_graph(&ParseGraph::standard()),
-    });
-    pm.register(SwitchPass { name: "replication", check: check_replication });
-    pm.register(SwitchPass { name: "gateways", check: check_gateways });
-    pm.register(SwitchPass { name: "dead-field-edit", check: analysis::check_dead_field_edits });
-    pm.register(SwitchPass {
-        name: "unreachable-action",
-        check: analysis::check_unreachable_actions,
-    });
-    pm.register(SwitchPass { name: "salu-range", check: analysis::check_salu_range });
-    pm
-}
-
-/// Runs every pass over a built switch program (with the standard parser
-/// graph) and returns the combined report.  Thin wrapper over
-/// [`switch_passes`].
+/// Runs every program pass over a built switch, in the order the crate
+/// docs list them, and returns the combined report.  The dataflow is
+/// solved once and shared by the passes that read it.
 pub fn lint_switch(sw: &Switch) -> LintReport {
-    let mut cx = PassCx::new();
-    let mut target = sw;
-    let _ = switch_passes().run(&mut target, &mut cx).unwrap_or_else(|e| match e {});
-    cx.diagnostics
+    let mut report = check_stage_resources(sw);
+    report.merge(check_phv_liveness(sw));
+    report.merge(check_salu_discipline(sw));
+    report.merge(check_replication(sw));
+    if let Some(a) = analyze_switch(sw) {
+        report.merge(check_reachability(sw, &a));
+        report.merge(check_dead_field_edits(sw, &a));
+        report.merge(check_unreachable_actions(sw, &a));
+        report.merge(check_salu_range(sw, &a));
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ht_asic::action::ActionSet;
+    use ht_asic::table::MatchKind;
+
+    thread_local! {
+        /// Dataflow solves on this thread, so a test can count them per lint.
+        pub(crate) static SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
-    fn switch_pass_pipeline_matches_the_documented_order() {
-        let pm = switch_passes();
-        assert_eq!(
-            pm.names(),
-            vec![
-                "stage-resources",
-                "phv-liveness",
-                "salu-discipline",
-                "parse-graph",
-                "replication",
-                "gateways",
-                "dead-field-edit",
-                "unreachable-action",
-                "salu-range"
-            ]
-        );
+    fn lint_solves_the_dataflow_once() {
+        let mut sw = Switch::new("sw", 1);
+        for name in ["first", "second"] {
+            let action = ActionSet::new("to0", vec![PrimitiveOp::SetEgressPort(0)]);
+            sw.ingress.push_table(Table::new(
+                name,
+                MatchKind::Exact,
+                vec![fields::IPV4_DST],
+                4,
+                action,
+            ));
+        }
+        SOLVES.with(|n| n.set(0));
+        let _ = lint_switch(&sw);
+        assert_eq!(SOLVES.with(|n| n.get()), 1);
     }
 
     #[test]

@@ -246,24 +246,33 @@ fn cmd_dump_ir(fe: &Fe, path: &str, json: bool, stop_after: Option<&str>) -> Res
     Ok(())
 }
 
+/// The tester configuration a task is linted and analyzed on: enough
+/// ports for the task's replication sets, at 100 Gbps.
+fn task_config(task: &CompiledTask) -> Result<TesterConfig, String> {
+    let ports =
+        task.templates.iter().flat_map(|t| t.ports.iter().copied()).max().map_or(1, |p| p + 1);
+    TesterConfig::builder().ports(ports).speed(Gbps(100)).build().map_err(|e| e.to_string())
+}
+
 /// Builds the findings for one task file: task-level warnings from the
-/// compiler, plus the program-level passes over the built switch.  A
-/// compile or build failure that is *not* a lint rejection is reported as a
-/// single `compile-error` diagnostic so the output stays uniform.
-fn lint_findings(fe: &Fe, path: &str) -> Result<LintReport, String> {
+/// compiler, plus the program-level passes over the built switch, which it
+/// hands back when the build succeeded.  A compile or build failure that
+/// is *not* a lint rejection is reported as a single `compile-error`
+/// diagnostic so the output stays uniform.
+fn lint_findings(fe: &Fe, path: &str) -> Result<(LintReport, Option<Switch>), String> {
     let mut report = LintReport::new();
     let prog = match resolve_file(path, &fe.search, &fe.params) {
         Ok(p) => p,
         Err(failure) => {
             report.push(resolve_diag(&failure));
-            return Ok(report);
+            return Ok((report, None));
         }
     };
     let task = match compile(&prog) {
         Ok(t) => t,
         Err(NtapiError::Lint(diags)) => {
             report.diagnostics.extend(diags);
-            return Ok(report);
+            return Ok((report, None));
         }
         Err(e) => {
             let mut d = Diagnostic::error("compile-error", path, e.to_string(), "");
@@ -271,27 +280,30 @@ fn lint_findings(fe: &Fe, path: &str) -> Result<LintReport, String> {
                 d = d.with_span(sp);
             }
             report.push(d);
-            return Ok(report);
+            return Ok((report, None));
         }
     };
     report.diagnostics.extend(task.warnings.clone());
-    // Build the pipeline program on a switch with enough ports for the
-    // task's replication sets, then run the program-level passes.
-    let ports =
-        task.templates.iter().flat_map(|t| t.ports.iter().copied()).max().map_or(1, |p| p + 1);
-    let config =
-        TesterConfig::builder().ports(ports).speed(Gbps(100)).build().map_err(|e| e.to_string())?;
-    match build(&task, &config) {
+    let built = match build(&task, &task_config(&task)?) {
         // The build already ran the program passes once; reuse its report.
-        Ok(tester) => report.merge(tester.lint),
-        Err(BuildError::Lint(diags)) => report.diagnostics.extend(diags),
-        Err(e) => report.push(Diagnostic::error("compile-error", path, e.to_string(), "")),
-    }
-    Ok(report)
+        Ok(tester) => {
+            report.merge(tester.lint);
+            Some(tester.switch)
+        }
+        Err(BuildError::Lint(diags)) => {
+            report.diagnostics.extend(diags);
+            None
+        }
+        Err(e) => {
+            report.push(Diagnostic::error("compile-error", path, e.to_string(), ""));
+            None
+        }
+    };
+    Ok((report, built))
 }
 
 fn cmd_lint(fe: &Fe, path: &str, json: bool) -> Result<bool, String> {
-    let report = lint_findings(fe, path)?;
+    let (report, _) = lint_findings(fe, path)?;
     if json {
         println!("{}", report_json(path, &report));
     } else {
@@ -300,26 +312,22 @@ fn cmd_lint(fe: &Fe, path: &str, json: bool) -> Result<bool, String> {
     Ok(report.has_errors())
 }
 
-/// Builds the task's switch program, sized like [`lint_findings`], for the
-/// analysis-only views.
+/// Builds the task's switch program, configured like [`lint_findings`],
+/// for the fact dumps.
 fn build_switch(fe: &Fe, path: &str) -> Result<Switch, String> {
     let (_, task) = fe.load(path)?;
-    let ports =
-        task.templates.iter().flat_map(|t| t.ports.iter().copied()).max().map_or(1, |p| p + 1);
-    let config =
-        TesterConfig::builder().ports(ports).speed(Gbps(100)).build().map_err(|e| e.to_string())?;
-    let tester = build(&task, &config).map_err(|e| e.to_string())?;
+    let tester = build(&task, &task_config(&task)?).map_err(|e| e.to_string())?;
     Ok(tester.switch)
 }
 
 /// `htctl analyze`: the dataflow-analysis view of a task.  `--dump-facts`
 /// prints one deterministic fact table; otherwise prints fixpoint stats,
 /// certified no-wrap registers, and the full lint report (`--json` shares
-/// the `htctl lint --json` serializer).
+/// the `htctl lint --json` serializer).  The view solves the dataflow once.
 fn cmd_analyze(fe: &Fe, path: &str, json: bool, dump: Option<&str>) -> Result<bool, String> {
     if let Some(pass) = dump {
         let sw = build_switch(fe, path)?;
-        return match dump_facts(&sw, pass) {
+        return match analyze_switch(&sw).and_then(|a| dump_facts(&sw, &a, pass)) {
             Some(text) => {
                 print!("{text}");
                 Ok(false)
@@ -330,13 +338,13 @@ fn cmd_analyze(fe: &Fe, path: &str, json: bool, dump: Option<&str>) -> Result<bo
             )),
         };
     }
-    let report = lint_findings(fe, path)?;
+    let (report, built) = lint_findings(fe, path)?;
     if json {
         println!("{}", report_json(path, &report));
         return Ok(report.has_errors());
     }
     // On a build failure the diagnostics below already explain why.
-    if let Ok(sw) = build_switch(fe, path) {
+    if let Some(sw) = built {
         match analyze_switch(&sw) {
             Some(a) => {
                 let (vi, li) = a.iterations();
@@ -345,7 +353,7 @@ fn cmd_analyze(fe: &Fe, path: &str, json: bool, dump: Option<&str>) -> Result<bo
                     if a.has_back_edge() { " (recirculation back edge, widened)" } else { "" }
                 );
                 let names: Vec<&str> =
-                    proven_nowrap_regs(&sw).iter().map(|&r| sw.regs.array(r).name()).collect();
+                    proven_nowrap_regs(&sw, &a).iter().map(|&r| sw.regs.array(r).name()).collect();
                 println!(
                     "{path}: certified no-wrap registers: {}",
                     if names.is_empty() { "(none)".into() } else { names.join(", ") }
