@@ -74,6 +74,14 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// Records per keyed query's KV FIFO (a power of two: the ring indices
+/// are bitmasks).
+const KV_FIFO_CAPACITY: usize = 4096;
+
+/// Records per trigger FIFO of a stateless consumer (a power of two: the
+/// ring indices are bitmasks).
+const TRIGGER_FIFO_CAPACITY: usize = 4096;
+
 /// Switch configuration for a tester build.
 #[derive(Debug, Clone)]
 pub struct TesterConfig {
@@ -85,10 +93,6 @@ pub struct TesterConfig {
     pub ports: Vec<(u16, u64)>,
     /// Ports configured in loopback mode (accelerator capacity extension).
     pub loopback_ports: Vec<u16>,
-    /// KV FIFO capacity per keyed query (power of two).
-    pub kv_fifo_capacity: usize,
-    /// Trigger FIFO capacity per stateless consumer (power of two).
-    pub trigger_fifo_capacity: usize,
 }
 
 impl TesterConfig {
@@ -117,14 +121,6 @@ pub enum ConfigError {
     NoPorts,
     /// A port speed of zero bits per second.
     ZeroSpeed,
-    /// A FIFO capacity that is not a power of two (the ring indices are
-    /// computed with bitmasks).
-    FifoNotPowerOfTwo {
-        /// Which FIFO: `"kv"` or `"trigger"`.
-        which: &'static str,
-        /// The offending capacity.
-        got: usize,
-    },
     /// A loopback port id that is not among the configured ports.
     LoopbackUnknownPort(
         /// The offending port id.
@@ -137,9 +133,6 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::NoPorts => write!(f, "a tester needs at least one port"),
             ConfigError::ZeroSpeed => write!(f, "port speed must be non-zero"),
-            ConfigError::FifoNotPowerOfTwo { which, got } => {
-                write!(f, "{which} FIFO capacity must be a power of two, got {got}")
-            }
             ConfigError::LoopbackUnknownPort(p) => {
                 write!(f, "loopback port {p} is not a configured port")
             }
@@ -158,13 +151,11 @@ pub struct TesterConfigBuilder {
     ports: u16,
     speed_bps: u64,
     loopback_ports: Vec<u16>,
-    kv_fifo_capacity: usize,
-    trigger_fifo_capacity: usize,
 }
 
 impl Default for TesterConfigBuilder {
     /// The defaults of the original constructor: one 100 Gb/s port,
-    /// seed 7, 4096-entry FIFOs.
+    /// seed 7.
     fn default() -> Self {
         TesterConfigBuilder {
             name: "hypertester".into(),
@@ -172,8 +163,6 @@ impl Default for TesterConfigBuilder {
             ports: 1,
             speed_bps: Gbps(100).bps(),
             loopback_ports: Vec::new(),
-            kv_fifo_capacity: 4096,
-            trigger_fifo_capacity: 4096,
         }
     }
 }
@@ -215,19 +204,6 @@ impl TesterConfigBuilder {
         self
     }
 
-    /// KV FIFO capacity per keyed query (must be a power of two).
-    pub fn kv_fifo_capacity(mut self, cap: usize) -> Self {
-        self.kv_fifo_capacity = cap;
-        self
-    }
-
-    /// Trigger FIFO capacity per stateless consumer (must be a power of
-    /// two).
-    pub fn trigger_fifo_capacity(mut self, cap: usize) -> Self {
-        self.trigger_fifo_capacity = cap;
-        self
-    }
-
     /// Validates and produces the [`TesterConfig`].
     pub fn build(self) -> Result<TesterConfig, ConfigError> {
         if self.ports == 0 {
@@ -235,15 +211,6 @@ impl TesterConfigBuilder {
         }
         if self.speed_bps == 0 {
             return Err(ConfigError::ZeroSpeed);
-        }
-        if !self.kv_fifo_capacity.is_power_of_two() {
-            return Err(ConfigError::FifoNotPowerOfTwo { which: "kv", got: self.kv_fifo_capacity });
-        }
-        if !self.trigger_fifo_capacity.is_power_of_two() {
-            return Err(ConfigError::FifoNotPowerOfTwo {
-                which: "trigger",
-                got: self.trigger_fifo_capacity,
-            });
         }
         if let Some(&p) = self.loopback_ports.iter().find(|&&p| p >= self.ports) {
             return Err(ConfigError::LoopbackUnknownPort(p));
@@ -253,8 +220,6 @@ impl TesterConfigBuilder {
             seed: self.seed,
             ports: (0..self.ports).map(|p| (p, self.speed_bps)).collect(),
             loopback_ports: self.loopback_ports,
-            kv_fifo_capacity: self.kv_fifo_capacity,
-            trigger_fifo_capacity: self.trigger_fifo_capacity,
         })
     }
 }
@@ -345,7 +310,7 @@ pub fn build(task: &CompiledTask, cfg: &TesterConfig) -> Result<BuiltTester, Bui
                 &mut sw.regs,
                 &mut sw.fields,
                 crate::htpr::RECORD_FIELDS.len(),
-                cfg.trigger_fifo_capacity,
+                TRIGGER_FIFO_CAPACITY,
             );
             trigger_fifos.insert((q.name.clone(), consumer.clone()), Arc::new(Mutex::new(fifo)));
         }
@@ -419,7 +384,7 @@ pub fn build(task: &CompiledTask, cfg: &TesterConfig) -> Result<BuiltTester, Bui
     // ---- HTPR: queries ----------------------------------------------------
     let mut queries = HashMap::new();
     for (qi, q) in task.queries.iter().enumerate() {
-        let handle = build_query(&mut sw, task, q, qi, proto, cfg, &trigger_fifos);
+        let handle = build_query(&mut sw, task, q, qi, proto, &trigger_fifos);
         queries.insert(q.name.clone(), handle);
     }
 
@@ -533,7 +498,6 @@ fn build_query(
     q: &CompiledQuery,
     qi: usize,
     proto: L4Proto,
-    cfg: &TesterConfig,
     trigger_fifos: &HashMap<(String, String), Arc<Mutex<RegFifo>>>,
 ) -> QueryHandle {
     let match_field = sw.fields.intern(&format!("meta.q{qi}_match"), 1);
@@ -704,7 +668,7 @@ fn build_query(
                 &mut sw.regs,
                 &mut sw.fields,
                 3,
-                cfg.kv_fifo_capacity,
+                KV_FIFO_CAPACITY,
             );
             let evict_digest = DigestId(qi as u16 + 1);
             let engine = Arc::new(Mutex::new(CuckooEngine {

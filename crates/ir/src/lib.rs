@@ -1,15 +1,16 @@
 //! The typed pipeline IR between the NTAPI surface syntax and every
 //! backend of the toolchain.
 //!
-//! The NTAPI compiler (`ht-ntapi`) lowers a parsed program through an
-//! ordered list of passes into a [`Module`] — template packet specs,
+//! The NTAPI compiler (`ht-ntapi`) lowers a parsed program through its
+//! ordered lowering passes into a [`Module`] — template packet specs,
 //! compiled queries, and a [`PipelinePlan`] of pass-computed annotations.
 //! Three backends consume that one module:
 //!
 //! * the **sim builder** (`ht-core`) programs a `ht_asic::Switch` from it;
 //! * the **P4 backend** (`ht-ntapi`'s codegen) renders it to P4 source;
-//! * the **verifier** (`ht-lint`) runs its program passes over the built
-//!   switch through the same [`Pass`] machinery.
+//! * the **verifier** (`ht-lint`) checks the built switch, reporting in
+//!   this crate's [`Diagnostic`] form and solving on its [`dataflow`]
+//!   engine.
 //!
 //! Module map:
 //! * [`field`] — the Table 1 field vocabulary shared with the AST.
@@ -18,8 +19,6 @@
 //! * [`module`] — the [`Module`] and its [`PipelinePlan`] annotations.
 //! * [`hashcfg`] — cuckoo hash configuration carried by keyed queries.
 //! * [`keyspace`] — flat key spaces for the false-positive precompute.
-//! * [`pass`] — the [`Pass`] trait and [`PassManager`] with per-pass
-//!   diagnostics and timing.
 //! * [`diag`] — diagnostics ([`Diagnostic`], [`LintReport`]).
 //! * [`render`] — deterministic text and JSON dumps of a [`Module`].
 //! * [`execplan`] — planned flattened editor programs for the compiled
@@ -39,7 +38,6 @@ pub mod field;
 pub mod hashcfg;
 pub mod keyspace;
 pub mod module;
-pub mod pass;
 pub mod query;
 pub mod render;
 pub mod template;
@@ -54,6 +52,5 @@ pub use module::{
     AcceleratorPlan, AnalysisFacts, FieldRangeFact, Module, PipelinePlan, Provenance, TimerFact,
     TimerPlan,
 };
-pub use pass::{Pass, PassCx, PassManager, PassRun, PassTrace};
 pub use query::{CompiledQuery, FpConfig, QueryKind};
 pub use template::{EditSpec, L4Proto, ResponseCopy, TemplateSpec};

@@ -1,4 +1,4 @@
-//! NTAPI compilation: lowering the AST through an ordered pass pipeline
+//! NTAPI compilation: lowering the AST through an ordered table of passes
 //! into the typed IR module ([`ht_ir::Module`]) every backend consumes —
 //! the sim builder (`ht-core`), the P4 backend ([`crate::codegen`]), and
 //! the task-level verifier ([`crate::lint`]).
@@ -26,20 +26,24 @@
 //!    checked against the stage budget.
 //! 7. **`task-lint`** — task-level static verification; errors deny
 //!    compilation, warnings ride along on the compiled task.
+//! 8. **`analysis-annotation`** — proven value intervals of every edit
+//!    and timer feasibility against the recirculation quantum.
+//! 9. **`exec-lowering`** — the flattened editor programs the compiled
+//!    pipeline executor runs ([`ht_ir::execplan`]).
 //!
-//! Invalid tasks are **rejected** (§6.1: out-of-range field values,
-//! malformed ranges, dangling references, and tasks exceeding the
-//! accelerator or stage budget).  `htctl compile --dump-ir` uses
-//! [`lower_with`] to print the module after any named pass.
+//! Each pass is a plain function over the lowering state; [`lower_with`]
+//! runs them in table order and times each one.  Invalid tasks are
+//! **rejected** (§6.1: out-of-range field values, malformed ranges,
+//! dangling references, and tasks exceeding the accelerator or stage
+//! budget).  `htctl compile --dump-ir` uses [`lower_with`] to print the
+//! module after any named pass.
 
 use crate::ast::{DistSpec, Program, QueryOp, Value};
 use crate::fp::compute_fp_indices;
 use crate::headerspace::{global_space, SpaceError};
 use ht_asic::timing;
-use ht_ir::{
-    AcceleratorPlan, HeaderField, LintReport, Module, NtField, Pass, PassCx, PassManager,
-    PassTrace, QuerySource, TimerPlan,
-};
+use ht_ir::{AcceleratorPlan, HeaderField, LintReport, Module, NtField, QuerySource, TimerPlan};
+use std::time::{Duration, Instant};
 
 // The IR types this compiler produces moved to `ht-ir`; re-exported here
 // under their original paths.
@@ -242,7 +246,7 @@ impl From<SpaceError> for NtapiError {
 }
 
 /// Compile-time options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Hash configuration for counter-based queries.
     pub hash: HashConfig,
@@ -256,14 +260,6 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions { hash: HashConfig::default(), recirc_loops: 1, stage_budget: 24 }
-    }
-}
-
-impl PartialEq for CompileOptions {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash
-            && self.recirc_loops == other.recirc_loops
-            && self.stage_budget == other.stage_budget
     }
 }
 
@@ -332,30 +328,52 @@ struct Lowering {
     explicit_lens: Vec<Option<usize>>,
 }
 
-/// The ordered lowering pass list.
-fn lowering_passes() -> PassManager<Lowering, NtapiError> {
-    let mut pm = PassManager::new();
-    pm.register(TemplateExtraction);
-    pm.register(FieldEditPlanning);
-    pm.register(FrameLayout);
-    pm.register(RateControlTimerSynthesis);
-    pm.register(QueryLowering);
-    pm.register(ResourceAnnotation);
-    pm.register(TaskLint);
-    pm.register(AnalysisAnnotation);
-    pm.register(ExecLowering);
-    pm
-}
+/// One lowering pass: extends the lowering state, adds non-fatal findings
+/// to the report, and rejects the task with an error.
+type PassFn = fn(&mut Lowering, &mut LintReport) -> Result<(), NtapiError>;
+
+/// The lowering passes, in execution order.
+const PASSES: [(&str, PassFn); 9] = [
+    ("template-extraction", template_extraction),
+    ("field-edit-planning", field_edit_planning),
+    ("frame-layout", frame_layout),
+    ("rate-control-timer-synthesis", rate_control_timer_synthesis),
+    ("query-lowering", query_lowering),
+    ("resource-annotation", resource_annotation),
+    ("task-lint", task_lint),
+    ("analysis-annotation", analysis_annotation),
+    ("exec-lowering", exec_lowering),
+];
 
 /// Names of the lowering passes, in execution order (the values
 /// `htctl compile --dump-ir=<pass>` accepts).
 pub fn pass_names() -> Vec<&'static str> {
-    lowering_passes().names()
+    PASSES.iter().map(|&(name, _)| name).collect()
 }
 
-/// Runs the lowering pipeline, optionally stopping after the named pass,
-/// and returns the module as lowered so far, the per-pass trace, and the
-/// accumulated diagnostics.  `compile_with` is this with no stop.
+/// The record of one executed lowering pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PassRun {
+    /// Pass name, one of [`pass_names`].
+    pub name: &'static str,
+    /// Wall-clock duration of the pass.
+    pub duration: Duration,
+}
+
+/// The passes one [`lower_with`] call ran, in execution order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PassTrace {
+    /// One entry per executed pass.
+    pub runs: Vec<PassRun>,
+}
+
+/// Runs the lowering passes in order, stopping *after* the pass named
+/// `stop_after` when given, and returns the module as lowered so far, the
+/// per-pass trace, and the accumulated diagnostics.  A `stop_after` that
+/// names no pass runs the whole pipeline, so check user input against
+/// [`pass_names`] first.  The first pass error rejects the task: it is
+/// returned, no later pass runs, and no trace is kept.  `compile_with` is
+/// this with no stop.
 pub fn lower_with(
     program: &Program,
     options: CompileOptions,
@@ -376,10 +394,18 @@ pub fn lower_with(
         explicit_lens: Vec::new(),
     };
     st.module.provenance = module_provenance(program);
-    let mut cx = PassCx::new();
-    let trace = lowering_passes().run_until(&mut st, &mut cx, stop_after)?;
-    st.module.provenance.attach(&mut cx.diagnostics);
-    Ok((st.module, trace, cx.diagnostics))
+    let mut report = LintReport::default();
+    let mut trace = PassTrace::default();
+    for (name, pass) in PASSES {
+        let start = Instant::now();
+        pass(&mut st, &mut report)?;
+        trace.runs.push(PassRun { name, duration: start.elapsed() });
+        if stop_after == Some(name) {
+            break;
+        }
+    }
+    st.module.provenance.attach(&mut report);
+    Ok((st.module, trace, report))
 }
 
 /// Resolves an AST span against the program's retained source map into
@@ -422,180 +448,114 @@ fn module_provenance(program: &Program) -> ht_ir::Provenance {
 
 /// Pass 1: triggers → template skeletons (constants, control fields,
 /// response copies); variable-value sets are deferred.
-struct TemplateExtraction;
-
-impl Pass<Lowering, NtapiError> for TemplateExtraction {
-    fn name(&self) -> &'static str {
-        "template-extraction"
+fn template_extraction(st: &mut Lowering, _: &mut LintReport) -> Result<(), NtapiError> {
+    for (i, trig) in st.program.triggers.iter().enumerate() {
+        let (tpl, pending, explicit_len) = extract_trigger(&st.program, trig, (i + 1) as u16)?;
+        st.module.templates.push(tpl);
+        st.pending.push(pending);
+        st.explicit_lens.push(explicit_len);
     }
-
-    fn run(&self, st: &mut Lowering, _cx: &mut PassCx) -> Result<(), NtapiError> {
-        for (i, trig) in st.program.triggers.iter().enumerate() {
-            let (tpl, pending, explicit_len) = extract_trigger(&st.program, trig, (i + 1) as u16)?;
-            st.module.templates.push(tpl);
-            st.pending.push(pending);
-            st.explicit_lens.push(explicit_len);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Pass 2: deferred sets → editor edits (§5.1's four modification types).
-struct FieldEditPlanning;
-
-impl Pass<Lowering, NtapiError> for FieldEditPlanning {
-    fn name(&self) -> &'static str {
-        "field-edit-planning"
-    }
-
-    fn run(&self, st: &mut Lowering, _cx: &mut PassCx) -> Result<(), NtapiError> {
-        for (tpl, pending) in st.module.templates.iter_mut().zip(&st.pending) {
-            for edit in pending {
-                match edit {
-                    PendingEdit::Header { field, value } => {
-                        plan_header_edit(tpl, *field, value)?;
-                    }
-                    PendingEdit::IntervalDist { dist, bits } => {
-                        tpl.interval_dist =
-                            Some(random_edit(HeaderField::Ident, dist, *bits, true)?);
-                    }
+fn field_edit_planning(st: &mut Lowering, _: &mut LintReport) -> Result<(), NtapiError> {
+    for (tpl, pending) in st.module.templates.iter_mut().zip(&st.pending) {
+        for edit in pending {
+            match edit {
+                PendingEdit::Header { field, value } => {
+                    plan_header_edit(tpl, *field, value)?;
+                }
+                PendingEdit::IntervalDist { dist, bits } => {
+                    tpl.interval_dist = Some(random_edit(HeaderField::Ident, dist, *bits, true)?);
                 }
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Pass 3: resolve each template's L4 protocol and frame length.
-struct FrameLayout;
-
-impl Pass<Lowering, NtapiError> for FrameLayout {
-    fn name(&self) -> &'static str {
-        "frame-layout"
+fn frame_layout(st: &mut Lowering, _: &mut LintReport) -> Result<(), NtapiError> {
+    for (tpl, explicit_len) in st.module.templates.iter_mut().zip(&st.explicit_lens) {
+        layout_frame(tpl, *explicit_len)?;
     }
-
-    fn run(&self, st: &mut Lowering, _cx: &mut PassCx) -> Result<(), NtapiError> {
-        for (tpl, explicit_len) in st.module.templates.iter_mut().zip(&st.explicit_lens) {
-            layout_frame(tpl, *explicit_len)?;
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Pass 4: derive the replicator timers and check the templates against
 /// the recirculation-loop capacity that drives them (§6.1).
-struct RateControlTimerSynthesis;
-
-impl Pass<Lowering, NtapiError> for RateControlTimerSynthesis {
-    fn name(&self) -> &'static str {
-        "rate-control-timer-synthesis"
+fn rate_control_timer_synthesis(st: &mut Lowering, _: &mut LintReport) -> Result<(), NtapiError> {
+    // Accelerator capacity check (§6.1): only start-time triggers occupy
+    // the recirculation loop permanently; query-based triggers borrow
+    // capacity transiently.
+    let templates = &st.module.templates;
+    let resident = templates.iter().filter(|t| t.source_query.is_none()).count();
+    let capacity =
+        timing::accelerator_capacity(templates.iter().map(|t| t.frame_len).min().unwrap_or(64))
+            * st.options.recirc_loops;
+    if resident > capacity {
+        return Err(NtapiError::AcceleratorOverflow { templates: resident, capacity });
     }
-
-    fn run(&self, st: &mut Lowering, _cx: &mut PassCx) -> Result<(), NtapiError> {
-        // Accelerator capacity check (§6.1): only start-time triggers occupy
-        // the recirculation loop permanently; query-based triggers borrow
-        // capacity transiently.
-        let templates = &st.module.templates;
-        let resident = templates.iter().filter(|t| t.source_query.is_none()).count();
-        let capacity =
-            timing::accelerator_capacity(templates.iter().map(|t| t.frame_len).min().unwrap_or(64))
-                * st.options.recirc_loops;
-        if resident > capacity {
-            return Err(NtapiError::AcceleratorOverflow { templates: resident, capacity });
-        }
-        st.module.plan.accelerator = AcceleratorPlan { resident, capacity };
-        st.module.plan.timers = templates
-            .iter()
-            .map(|t| TimerPlan {
-                template_id: t.id,
-                interval: t.interval,
-                distribution: t.interval_dist.is_some(),
-            })
-            .collect();
-        Ok(())
-    }
+    st.module.plan.accelerator = AcceleratorPlan { resident, capacity };
+    st.module.plan.timers = templates
+        .iter()
+        .map(|t| TimerPlan {
+            template_id: t.id,
+            interval: t.interval,
+            distribution: t.interval_dist.is_some(),
+        })
+        .collect();
+    Ok(())
 }
 
 /// Pass 5: queries → compiled queries with the false-positive precompute.
-struct QueryLowering;
-
-impl Pass<Lowering, NtapiError> for QueryLowering {
-    fn name(&self) -> &'static str {
-        "query-lowering"
+fn query_lowering(st: &mut Lowering, _: &mut LintReport) -> Result<(), NtapiError> {
+    for q in &st.program.queries {
+        let cq = compile_query(&st.program, &st.module.templates, q, &st.options)?;
+        st.module.queries.push(cq);
     }
-
-    fn run(&self, st: &mut Lowering, _cx: &mut PassCx) -> Result<(), NtapiError> {
-        for q in &st.program.queries {
-            let cq = compile_query(&st.program, &st.module.templates, q, &st.options)?;
-            st.module.queries.push(cq);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Pass 6: count the logical stages and check the budget.
-struct ResourceAnnotation;
-
-impl Pass<Lowering, NtapiError> for ResourceAnnotation {
-    fn name(&self) -> &'static str {
-        "resource-annotation"
+fn resource_annotation(st: &mut Lowering, _: &mut LintReport) -> Result<(), NtapiError> {
+    // Stage budget: accelerator + replicator, one timer/editor chain per
+    // template, and one or four logical stages per query (global counters
+    // vs the exact→cuckoo→cuckoo→FIFO chain).
+    let needed: usize = 2
+        + st.module
+            .templates
+            .iter()
+            .map(|t| 1 + t.edits.len() + usize::from(!t.response_copies.is_empty()))
+            .sum::<usize>()
+        + st.module
+            .queries
+            .iter()
+            .map(|q| match q.kind {
+                QueryKind::PassThrough | QueryKind::ReduceGlobal { .. } => 1,
+                QueryKind::ReduceKeyed { .. } | QueryKind::Distinct { .. } => 4,
+            })
+            .sum::<usize>();
+    st.module.plan.logical_stages = needed;
+    st.module.plan.stage_budget = st.options.stage_budget;
+    if needed > st.options.stage_budget {
+        return Err(NtapiError::StageOverflow { needed, available: st.options.stage_budget });
     }
-
-    fn run(&self, st: &mut Lowering, _cx: &mut PassCx) -> Result<(), NtapiError> {
-        // Stage budget: accelerator + replicator, one timer/editor chain per
-        // template, and one or four logical stages per query (global counters
-        // vs the exact→cuckoo→cuckoo→FIFO chain).
-        let needed: usize = 2
-            + st.module
-                .templates
-                .iter()
-                .map(|t| 1 + t.edits.len() + usize::from(!t.response_copies.is_empty()))
-                .sum::<usize>()
-            + st.module
-                .queries
-                .iter()
-                .map(|q| match q.kind {
-                    QueryKind::PassThrough | QueryKind::ReduceGlobal { .. } => 1,
-                    QueryKind::ReduceKeyed { .. } | QueryKind::Distinct { .. } => 4,
-                })
-                .sum::<usize>();
-        st.module.plan.logical_stages = needed;
-        st.module.plan.stage_budget = st.options.stage_budget;
-        if needed > st.options.stage_budget {
-            return Err(NtapiError::StageOverflow { needed, available: st.options.stage_budget });
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Pass 7: task-level static verification; errors deny compilation,
-/// warnings go to the pass context.
-struct TaskLint;
-
-impl Pass<Lowering, NtapiError> for TaskLint {
-    fn name(&self) -> &'static str {
-        "task-lint"
+/// warnings go to the report.
+fn task_lint(st: &mut Lowering, report: &mut LintReport) -> Result<(), NtapiError> {
+    let mut found = crate::lint::lint_task(&st.module.templates);
+    st.module.provenance.attach(&mut found);
+    if found.has_errors() {
+        return Err(NtapiError::Lint(found.errors().cloned().collect()));
     }
-
-    fn run(&self, st: &mut Lowering, cx: &mut PassCx) -> Result<(), NtapiError> {
-        let mut report = crate::lint::lint_task(&st.module.templates);
-        st.module.provenance.attach(&mut report);
-        if report.has_errors() {
-            return Err(NtapiError::Lint(report.errors().cloned().collect()));
-        }
-        cx.diagnostics.merge(report);
-        Ok(())
-    }
+    report.merge(found);
+    Ok(())
 }
-
-/// Pass 8: abstract interpretation of the edit plan — per-edit proven
-/// value intervals (the hull of every value the editor can write, folded
-/// through the [`ht_ir::ValueFact`] join) and timer feasibility against
-/// the recirculation rate-control quantum.  Registered after `task-lint`
-/// so `--dump-ir=task-lint` shows the module exactly as verified, before
-/// annotation.  Facts are warnings at most (`timer-rate-infeasible`);
-/// they never deny compilation.
-struct AnalysisAnnotation;
 
 /// The proven interval of one edit spec: the hull of every value its
 /// editor can write, as a [`ht_ir::ValueFact`].
@@ -621,53 +581,54 @@ fn edit_value_fact(e: &EditSpec) -> ht_ir::ValueFact {
     }
 }
 
-impl Pass<Lowering, NtapiError> for AnalysisAnnotation {
-    fn name(&self) -> &'static str {
-        "analysis-annotation"
-    }
-
-    fn run(&self, st: &mut Lowering, cx: &mut PassCx) -> Result<(), NtapiError> {
-        let mut facts = ht_ir::AnalysisFacts::default();
-        for t in &st.module.templates {
-            for e in &t.edits {
-                let fact = edit_value_fact(e);
-                facts.field_ranges.push(ht_ir::FieldRangeFact {
-                    template_id: t.id,
-                    field: e.field().name(),
-                    lo: fact.lo,
-                    hi: fact.hi,
-                });
-            }
-            // Timer feasibility: a constant cadence below the template's
-            // recirculation occupancy cannot be sustained — replicas depart
-            // at most once per loop pass (§5.1 rate-control precision).
-            if let Some(interval) = t.interval {
-                let min = ht_asic::timing::recirc_occupancy(t.frame_len);
-                let feasible = interval >= min;
-                if !feasible {
-                    cx.diagnostics.push(ht_ir::Diagnostic::warning(
-                        "timer-rate-infeasible",
-                        format!("template {} \"{}\"", t.id, t.trigger_name),
-                        format!(
-                            "interval {interval}ps is below the {min}ps recirculation \
-                             occupancy of a {}-byte frame; the replicator will emit at \
-                             the loop rate instead",
-                            t.frame_len
-                        ),
-                        "raise the interval or shrink the frame",
-                    ));
-                }
-                facts.timers.push(ht_ir::TimerFact {
-                    template_id: t.id,
-                    interval_ps: interval,
-                    min_interval_ps: min,
-                    feasible,
-                });
-            }
+/// Pass 8: abstract interpretation of the edit plan — per-edit proven
+/// value intervals (the hull of every value the editor can write, folded
+/// through the [`ht_ir::ValueFact`] join) and timer feasibility against
+/// the recirculation rate-control quantum.  Runs after `task-lint`
+/// so `--dump-ir=task-lint` shows the module exactly as verified, before
+/// annotation.  Facts are warnings at most (`timer-rate-infeasible`);
+/// they never deny compilation.
+fn analysis_annotation(st: &mut Lowering, report: &mut LintReport) -> Result<(), NtapiError> {
+    let mut facts = ht_ir::AnalysisFacts::default();
+    for t in &st.module.templates {
+        for e in &t.edits {
+            let fact = edit_value_fact(e);
+            facts.field_ranges.push(ht_ir::FieldRangeFact {
+                template_id: t.id,
+                field: e.field().name(),
+                lo: fact.lo,
+                hi: fact.hi,
+            });
         }
-        st.module.plan.analysis = facts;
-        Ok(())
+        // Timer feasibility: a constant cadence below the template's
+        // recirculation occupancy cannot be sustained — replicas depart
+        // at most once per loop pass (§5.1 rate-control precision).
+        if let Some(interval) = t.interval {
+            let min = ht_asic::timing::recirc_occupancy(t.frame_len);
+            let feasible = interval >= min;
+            if !feasible {
+                report.push(ht_ir::Diagnostic::warning(
+                    "timer-rate-infeasible",
+                    format!("template {} \"{}\"", t.id, t.trigger_name),
+                    format!(
+                        "interval {interval}ps is below the {min}ps recirculation \
+                         occupancy of a {}-byte frame; the replicator will emit at \
+                         the loop rate instead",
+                        t.frame_len
+                    ),
+                    "raise the interval or shrink the frame",
+                ));
+            }
+            facts.timers.push(ht_ir::TimerFact {
+                template_id: t.id,
+                interval_ps: interval,
+                min_interval_ps: min,
+                feasible,
+            });
+        }
     }
+    st.module.plan.analysis = facts;
+    Ok(())
 }
 
 /// Pass 9: IR-level exec lowering — plans the flattened threaded-code
@@ -675,24 +636,16 @@ impl Pass<Lowering, NtapiError> for AnalysisAnnotation {
 /// runs under `ExecMode::Compiled` ([`ht_ir::execplan`]).  Pure
 /// annotation: the plan is never rendered into IR dumps, so golden
 /// snapshots are unaffected.
-struct ExecLowering;
-
-impl Pass<Lowering, NtapiError> for ExecLowering {
-    fn name(&self) -> &'static str {
-        "exec-lowering"
-    }
-
-    fn run(&self, st: &mut Lowering, _cx: &mut PassCx) -> Result<(), NtapiError> {
-        st.module.plan.exec = ht_ir::ExecPlan {
-            editors: st
-                .module
-                .templates
-                .iter()
-                .map(|t| ht_ir::execplan::plan_editor(t.id, &t.edits))
-                .collect(),
-        };
-        Ok(())
-    }
+fn exec_lowering(st: &mut Lowering, _: &mut LintReport) -> Result<(), NtapiError> {
+    st.module.plan.exec = ht_ir::ExecPlan {
+        editors: st
+            .module
+            .templates
+            .iter()
+            .map(|t| ht_ir::execplan::plan_editor(t.id, &t.edits))
+            .collect(),
+    };
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,18 +1059,77 @@ Q2 = query().map(p -> (pkt_len)).reduce(func=sum)
         assert_eq!(task.plan.timers[0].interval, None, "line rate");
     }
 
+    /// The names of the passes a trace ran, in order.
+    fn ran(trace: &PassTrace) -> Vec<&'static str> {
+        trace.runs.iter().map(|r| r.name).collect()
+    }
+
     #[test]
     fn dump_after_named_pass_shows_partial_lowering() {
+        let names = pass_names();
+        assert_eq!(
+            names,
+            [
+                "template-extraction",
+                "field-edit-planning",
+                "frame-layout",
+                "rate-control-timer-synthesis",
+                "query-lowering",
+                "resource-annotation",
+                "task-lint",
+                "analysis-annotation",
+                "exec-lowering",
+            ],
+            "the lowering passes and their order"
+        );
         let prog = must_parse("T1 = trigger().set(sport, range(1, 5, 1)).set(interval, 1000ns)");
-        let (early, trace, _) =
+        for (i, &name) in names.iter().enumerate() {
+            let (_, trace, _) = lower_with(&prog, CompileOptions::default(), Some(name)).unwrap();
+            assert_eq!(ran(&trace), names[..=i], "stop after {name}");
+        }
+        let (early, _, _) =
             lower_with(&prog, CompileOptions::default(), Some("template-extraction")).unwrap();
-        assert_eq!(trace.runs.len(), 1);
         assert!(early.templates[0].edits.is_empty(), "edits not planned yet");
         assert!(early.plan.timers.is_empty(), "timers not synthesized yet");
         let (full, trace, _) = lower_with(&prog, CompileOptions::default(), None).unwrap();
-        assert_eq!(trace.runs.len(), pass_names().len());
+        assert_eq!(ran(&trace), names);
         assert_eq!(full.templates[0].edits.len(), 1);
         assert_eq!(full.plan.timers[0].interval, Some(1_000_000));
+        let (_, trace, _) = lower_with(&prog, CompileOptions::default(), Some("bogus")).unwrap();
+        assert_eq!(ran(&trace), names, "an unknown stop name runs every pass");
+    }
+
+    #[test]
+    fn mid_pipeline_error_stops_the_lowering() {
+        // 95 start-time templates overflow the 89-slot accelerator in
+        // `rate-control-timer-synthesis`.  The dangling query would fail
+        // `query-lowering` and the 95 template chains the 24-stage budget
+        // of `resource-annotation`, so any later pass that ran would
+        // report its own error instead.
+        let mut prog = Program::default();
+        for i in 0..95 {
+            prog.triggers.push(crate::ast::TriggerDef {
+                name: format!("T{i}"),
+                source_query: None,
+                sets: vec![],
+                span: crate::ast::Span::DUMMY,
+            });
+        }
+        prog.queries = must_parse("Q1 = query(T999).reduce(func=sum)").queries;
+        let accel = NtapiError::AcceleratorOverflow { templates: 95, capacity: 89 };
+        for stop in [None, Some("rate-control-timer-synthesis"), Some("exec-lowering")] {
+            assert_eq!(lower_with(&prog, CompileOptions::default(), stop), Err(accel.clone()));
+        }
+        let (module, trace, _) =
+            lower_with(&prog, CompileOptions::default(), Some("frame-layout")).unwrap();
+        assert_eq!(ran(&trace), pass_names()[..3]);
+        assert_eq!(module.templates.len(), 95);
+        // With room for every template, the next failing pass reports.
+        let roomy = CompileOptions { recirc_loops: 2, ..Default::default() };
+        assert_eq!(
+            lower_with(&prog, roomy, None).unwrap_err(),
+            NtapiError::UnknownTrigger("T999".into())
+        );
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub(crate) mod testutil;
 pub use ast::{HeaderField, NtField, Program, SourceUnit, Value};
 pub use compile::{
     compile, compile_with, lower_with, pass_names, CompileOptions, CompiledTask, NtapiError,
+    PassRun, PassTrace,
 };
 pub use loc::{SourceMap, Span};
 pub use parse::{parse, parse_unit};

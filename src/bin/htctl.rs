@@ -321,22 +321,18 @@ fn build_switch(fe: &Fe, path: &str) -> Result<Switch, String> {
 }
 
 /// `htctl analyze`: the dataflow-analysis view of a task.  `--dump-facts`
-/// prints one deterministic fact table; otherwise prints fixpoint stats,
+/// prints one deterministic fact table (the name is checked against
+/// [`FACT_PASSES`] while parsing arguments); otherwise prints fixpoint stats,
 /// certified no-wrap registers, and the full lint report (`--json` shares
 /// the `htctl lint --json` serializer).  The view solves the dataflow once.
 fn cmd_analyze(fe: &Fe, path: &str, json: bool, dump: Option<&str>) -> Result<bool, String> {
     if let Some(pass) = dump {
         let sw = build_switch(fe, path)?;
-        return match analyze_switch(&sw).and_then(|a| dump_facts(&sw, &a, pass)) {
-            Some(text) => {
-                print!("{text}");
-                Ok(false)
-            }
-            None => Err(format!(
-                "unknown fact pass: {pass} (expected one of {})",
-                FACT_PASSES.join(", ")
-            )),
-        };
+        let a = analyze_switch(&sw)
+            .ok_or_else(|| format!("{path}: analysis diverged; no {pass} facts to dump"))?;
+        let text = dump_facts(&sw, &a, pass).expect("fact pass names are checked while parsing");
+        print!("{text}");
+        return Ok(false);
     }
     let (report, built) = lint_findings(fe, path)?;
     if json {
@@ -649,7 +645,15 @@ fn main() -> ExitCode {
                     }
                 }
                 other if other.starts_with("--dump-facts=") => {
-                    dump = Some(other["--dump-facts=".len()..].to_string());
+                    let pass = &other["--dump-facts=".len()..];
+                    if !FACT_PASSES.contains(&pass) {
+                        eprintln!(
+                            "unknown fact pass: {pass} (expected one of {})",
+                            FACT_PASSES.join(", ")
+                        );
+                        return usage();
+                    }
+                    dump = Some(pass.to_string());
                 }
                 other if other.starts_with('-') => return usage(),
                 _ if path.is_some() => return usage(),

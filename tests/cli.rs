@@ -305,7 +305,7 @@ fn analyze_dumps_each_fact_pass() {
         assert!(stdout.to_lowercase().contains(needle), "pass {pass}: {stdout}");
     }
     let (_, stderr, code) = htctl_code(&["analyze", "--dump-facts=bogus", &task_path("scan.nt")]);
-    assert_eq!(code, 1);
+    assert_eq!(code, 2, "an unknown fact pass is a usage error");
     assert!(stderr.contains("unknown fact pass"), "{stderr}");
 }
 
