@@ -37,10 +37,11 @@ use crate::phv::{mask_for, FieldId, FieldTable, Phv};
 use crate::pipeline::Pipeline;
 use crate::register::{RegId, RegisterFile, SaluAccess, SaluOperand, SaluProgram};
 use crate::table::{Gateway, MatchKey, MatchKind};
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which executor a switch (or the whole process, via
-/// [`set_default_mode`]) uses.
+/// Which executor a switch uses.  A plain value: each switch holds its
+/// own ([`crate::Switch::set_exec_mode`]; `ht-core`'s `TesterConfig::exec`
+/// for a tester build), so switches under different executors can run
+/// side by side in one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The original per-stage interpreter — kept as the differential
@@ -79,25 +80,6 @@ impl ExecMode {
 impl std::fmt::Display for ExecMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Process-wide default executor consulted by builders that do not take an
-/// explicit mode (`ht-core`'s `build`, the bench harness).  Compiled by
-/// default; `htctl --exec interp` flips it before any switch is built.
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the process-wide default executor.
-pub fn set_default_mode(mode: ExecMode) {
-    DEFAULT_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The process-wide default executor.
-pub fn default_mode() -> ExecMode {
-    match DEFAULT_MODE.load(Ordering::Relaxed) {
-        0 => ExecMode::Interp,
-        2 => ExecMode::Vector,
-        _ => ExecMode::Compiled,
     }
 }
 
@@ -1792,13 +1774,11 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_round_trips() {
-        assert_eq!(ExecMode::parse("interp"), Some(ExecMode::Interp));
-        assert_eq!(ExecMode::parse("compiled"), Some(ExecMode::Compiled));
+    fn exec_mode_parse_round_trips() {
+        for mode in [ExecMode::Interp, ExecMode::Compiled, ExecMode::Vector] {
+            assert_eq!(ExecMode::parse(mode.as_str()), Some(mode));
+        }
         assert_eq!(ExecMode::parse("weird"), None);
-        let before = default_mode();
-        set_default_mode(ExecMode::Interp);
-        assert_eq!(default_mode(), ExecMode::Interp);
-        set_default_mode(before);
+        assert_eq!(ExecMode::default(), ExecMode::Compiled);
     }
 }

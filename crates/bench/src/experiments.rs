@@ -3,12 +3,13 @@
 //! Each function returns the data series the corresponding plot/table
 //! shows; the [`crate::suite`] jobs print them next to the paper's reported
 //! values and check them, and `htctl bench --md` writes the run ledger
-//! into EXPERIMENTS.md.
+//! into EXPERIMENTS.md.  A function that builds a tester takes the
+//! pipeline executor as its first argument.
 
 use crate::apps;
 use crate::harness::{run, RunSpec};
 use ht_asic::time::{ms, us, SimTime, PS_PER_SEC};
-use ht_asic::LinkSpec;
+use ht_asic::{ExecMode, LinkSpec};
 use ht_baseline::ratectl::{timestamp_error, RateControlMode, TimestampMode};
 use ht_baseline::tester::{aggregate_l2_bps, core_pps, departures, MoonGenConfig};
 use ht_ntapi::fp::{compute_fp_indices, HashConfig, KeySpace};
@@ -18,10 +19,15 @@ use ht_stats::{ErrorMetrics, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A 100G tester config with `ports` ports (the standard shape for the
-/// direct-switch experiments below).
-fn cfg(ports: u16) -> ht_core::TesterConfig {
-    ht_core::TesterConfig::builder().ports(ports).speed_bps(gbps(100)).build().expect("config")
+/// A 100G tester config with `ports` ports on the `exec` executor (the
+/// standard shape for the direct-switch experiments below).
+fn cfg(ports: u16, exec: ExecMode) -> ht_core::TesterConfig {
+    ht_core::TesterConfig::builder()
+        .ports(ports)
+        .speed_bps(gbps(100))
+        .exec(exec)
+        .build()
+        .expect("config")
 }
 
 // ---------------------------------------------------------------- Table 5
@@ -91,13 +97,18 @@ pub struct ThroughputPoint {
 }
 
 /// Fig. 9: HyperTester single-port throughput vs frame size at `speed`.
-pub fn fig9_ht_single_port(speed_bps: u64, sizes: &[usize]) -> Vec<ThroughputPoint> {
+pub fn fig9_ht_single_port(
+    exec: ExecMode,
+    speed_bps: u64,
+    sizes: &[usize],
+) -> Vec<ThroughputPoint> {
     sizes
         .iter()
         .map(|&len| {
             let src = throughput_src(len);
             let ports = run(RunSpec {
                 src: &src,
+                exec,
                 frame_len: len,
                 speed_bps,
                 warmup: ms(1),
@@ -134,12 +145,13 @@ pub fn fig9_mg_single_port(speed_bps: u64, sizes: &[usize]) -> Vec<ThroughputPoi
 
 /// Fig. 10(a): HyperTester aggregate throughput over 1..=max_ports 100G
 /// ports (64-byte frames).  Returns `(ports, l1_gbps)`.
-pub fn fig10_ht_multi_port(max_ports: u16) -> Vec<(u16, f64)> {
+pub fn fig10_ht_multi_port(exec: ExecMode, max_ports: u16) -> Vec<(u16, f64)> {
     (1..=max_ports)
         .map(|ports| {
             let src = multiport_src(64, ports);
             let measured = run(RunSpec {
                 src: &src,
+                exec,
                 ports,
                 warmup: ms(1),
                 window: ms(1),
@@ -179,8 +191,14 @@ pub struct RateControlPoint {
 
 /// HyperTester rate-control accuracy at a given rate/size/port speed,
 /// with the accelerator filled to capacity (the paper's configuration).
-pub fn ht_rate_control(rate_pps: u64, frame_len: usize, speed_bps: u64) -> RateControlPoint {
+pub fn ht_rate_control(
+    exec: ExecMode,
+    rate_pps: u64,
+    frame_len: usize,
+    speed_bps: u64,
+) -> RateControlPoint {
     ht_rate_control_with_copies(
+        exec,
         rate_pps,
         frame_len,
         speed_bps,
@@ -201,6 +219,7 @@ pub(crate) fn rate_src(interval_ns: u64, len: usize) -> String {
 /// copies — the precision ↔ capacity ablation: the timer quantum is
 /// `RTT / copies`.
 pub fn ht_rate_control_with_copies(
+    exec: ExecMode,
     rate_pps: u64,
     frame_len: usize,
     speed_bps: u64,
@@ -212,6 +231,7 @@ pub fn ht_rate_control_with_copies(
     let window = (interval_ps * 30_000).clamp(ms(1), ms(50));
     let ports = run(RunSpec {
         src: &src,
+        exec,
         frame_len,
         speed_bps,
         copies: Some(copies),
@@ -259,10 +279,14 @@ pub(crate) fn random_src(dist: &str) -> String {
 
 /// Q-Q validation of on-ASIC random generation: returns
 /// `(samples, deciles of (theoretical, empirical))` for the distribution.
-pub fn fig13_random(dist_src: &str, dist: ht_stats::Distribution) -> (usize, Vec<(f64, f64)>, f64) {
+pub fn fig13_random(
+    exec: ExecMode,
+    dist_src: &str,
+    dist: ht_stats::Distribution,
+) -> (usize, Vec<(f64, f64)>, f64) {
     let src = random_src(dist_src);
     let task = compile(&parse(&src).unwrap()).unwrap();
-    let mut built = ht_core::build(&task, &cfg(1)).unwrap();
+    let mut built = ht_core::build(&task, &cfg(1, exec)).unwrap();
     let templates = built.template_copies(0, 32);
     let mut world = ht_asic::World::builder().seed(1).build().unwrap();
     let sw = world.add_device(Box::new(built.switch));
@@ -302,7 +326,7 @@ pub struct AcceleratorPoint {
 }
 
 /// Fig. 14: recirculate one template `loops` times per size and measure.
-pub fn fig14_accelerator(sizes: &[usize], loops: usize) -> Vec<AcceleratorPoint> {
+pub fn fig14_accelerator(exec: ExecMode, sizes: &[usize], loops: usize) -> Vec<AcceleratorPoint> {
     sizes
         .iter()
         .map(|&len| {
@@ -311,7 +335,7 @@ pub fn fig14_accelerator(sizes: &[usize], loops: usize) -> Vec<AcceleratorPoint>
                  .set(interval, 1s)" // effectively never fire; just loop
             );
             let task = compile(&parse(&src).unwrap()).unwrap();
-            let mut built = ht_core::build(&task, &cfg(1)).unwrap();
+            let mut built = ht_core::build(&task, &cfg(1, exec)).unwrap();
             built.switch.trace.recirc = true;
             let template = built.template_copies(0, 1);
             let mut world = ht_asic::World::builder().seed(1).build().unwrap();
@@ -338,12 +362,12 @@ pub fn fig14_accelerator(sizes: &[usize], loops: usize) -> Vec<AcceleratorPoint>
 /// the loop time inflates to `n × occupancy` (the loop is closed, so the
 /// backlog stabilizes — the symptom of oversubscription is RTT inflation,
 /// not queue growth).
-pub fn accelerator_loop_time_ns(len: usize, n: usize) -> f64 {
+pub fn accelerator_loop_time_ns(exec: ExecMode, len: usize, n: usize) -> f64 {
     let src = format!(
         "T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, {len}).set(interval, 1s)"
     );
     let task = compile(&parse(&src).unwrap()).unwrap();
-    let mut built = ht_core::build(&task, &cfg(1)).unwrap();
+    let mut built = ht_core::build(&task, &cfg(1, exec)).unwrap();
     built.switch.trace.recirc = true;
     let templates = built.template_copies(0, n);
     let mut world = ht_asic::World::builder().seed(1).build().unwrap();
@@ -386,7 +410,12 @@ pub struct ReplicatorPoint {
 }
 
 /// Fig. 15: multicast-engine delay vs frame size and port count.
-pub fn fig15_replicator(sizes: &[usize], ports: u16, rate_pps: u64) -> Vec<ReplicatorPoint> {
+pub fn fig15_replicator(
+    exec: ExecMode,
+    sizes: &[usize],
+    ports: u16,
+    rate_pps: u64,
+) -> Vec<ReplicatorPoint> {
     sizes
         .iter()
         .map(|&len| {
@@ -397,7 +426,7 @@ pub fn fig15_replicator(sizes: &[usize], ports: u16, rate_pps: u64) -> Vec<Repli
                 (0..ports).map(|p| p.to_string()).collect::<Vec<_>>().join(", ")
             );
             let task = compile(&parse(&src).unwrap()).unwrap();
-            let mut built = ht_core::build(&task, &cfg(ports.max(1))).unwrap();
+            let mut built = ht_core::build(&task, &cfg(ports.max(1), exec)).unwrap();
             built.switch.trace.mcast = true;
             let templates = built.template_copies(0, 32);
             let mut world = ht_asic::World::builder().seed(1).build().unwrap();
@@ -556,10 +585,10 @@ pub struct DelayPoint {
 
 /// Fig. 18(a): timestamp-based delay testing through a DUT with the given
 /// pipeline delay.  Returns the truth mean plus one point per method.
-pub fn fig18_delay(dut_delay: SimTime, probes: usize) -> (f64, Vec<DelayPoint>) {
+pub fn fig18_delay(exec: ExecMode, dut_delay: SimTime, probes: usize) -> (f64, Vec<DelayPoint>) {
     let src = apps::DELAY;
     let task = compile(&parse(src).unwrap()).unwrap();
-    let mut built = ht_core::build(&task, &cfg(2)).unwrap();
+    let mut built = ht_core::build(&task, &cfg(2, exec)).unwrap();
     built.switch.trace.tx = true;
     let templates = built.template_copies(0, 8);
 
@@ -618,7 +647,7 @@ pub fn fig18_delay(dut_delay: SimTime, probes: usize) -> (f64, Vec<DelayPoint>) 
 /// includes the tester's own fixed pipeline/replication offsets (which a
 /// real deployment calibrates out once); the paper's Fig. 18(b) point is
 /// that the *precision* matches the timestamp-based method.
-pub fn fig18_state_based(dut_delay: SimTime, probes: usize) -> (f64, f64, usize) {
+pub fn fig18_state_based(exec: ExecMode, dut_delay: SimTime, probes: usize) -> (f64, f64, usize) {
     use ht_asic::action::{ActionSet, IndexSource, PrimitiveOp};
     use ht_asic::digest::DigestId;
     use ht_asic::register::{Cmp, SaluProgram};
@@ -629,7 +658,7 @@ pub fn fig18_state_based(dut_delay: SimTime, probes: usize) -> (f64, f64, usize)
         "T1 = trigger().set([dip, sip, proto, dport, sport], [10.9.0.2, 10.9.0.1, udp, 7, 7])\n\
                .set(pkt_len, 128).set(interval, 10us).set(ident, range(0, 4095, 1))";
     let task = compile(&parse(src).unwrap()).unwrap();
-    let mut built = ht_core::build(&task, &cfg(2)).unwrap();
+    let mut built = ht_core::build(&task, &cfg(2, exec)).unwrap();
     let sw = &mut built.switch;
 
     // Egress (after the editor): store the departure-side timestamp in a
@@ -726,9 +755,10 @@ pub struct SynFloodReport {
 }
 
 /// Runs the SYN-flood task on four 100G ports and extrapolates.
-pub fn table8_synflood() -> SynFloodReport {
+pub fn table8_synflood(exec: ExecMode) -> SynFloodReport {
     let ports = run(RunSpec {
         src: apps::SYN_FLOOD,
+        exec,
         ports: 4,
         warmup: ms(1),
         window: ms(1),

@@ -516,13 +516,16 @@ enum SimResult {
 /// invariant-D evidence (reported vs. rogue flows).  All other tasks keep
 /// the tester → sink wiring.
 ///
-/// `exec` picks the pipeline executor explicitly (overriding the
-/// process-wide default) so the invariant-E differential is independent
-/// of how the harness was launched.
+/// `exec` is the pipeline executor the tester is built on (one lowering,
+/// at build time), so the invariant-E differential is independent of how
+/// the harness was launched.  Turning on the register wrap trace after
+/// the build is safe: executor lowering reads only the pipelines and the
+/// field table, never register state.
 fn simulate(task: &CompiledTask, exec: ExecMode) -> SimResult {
     let cfg = TesterConfig::builder()
         .ports(SIM_PORTS)
         .speed_bps(ht_packet::wire::gbps(100))
+        .exec(exec)
         .build()
         .expect("fuzz tester config is statically valid");
     let mut built = match build(task, &cfg) {
@@ -543,7 +546,6 @@ fn simulate(task: &CompiledTask, exec: ExecMode) -> SimResult {
         .into_iter()
         .collect();
     built.switch.regs.set_trace_wraps(true);
-    built.switch.set_exec_mode(exec);
 
     let mut templates = Vec::new();
     for i in 0..built.templates.len() {

@@ -25,6 +25,8 @@ pub struct PortMeasurement {
 pub struct RunSpec<'a> {
     /// NTAPI DSL source.
     pub src: &'a str,
+    /// Pipeline executor of the built tester.
+    pub exec: ht_asic::ExecMode,
     /// Frame length (for copy sizing).
     pub frame_len: usize,
     /// Ports used (wired to the sink).
@@ -45,6 +47,7 @@ impl Default for RunSpec<'_> {
     fn default() -> Self {
         RunSpec {
             src: "",
+            exec: ht_asic::ExecMode::default(),
             frame_len: 64,
             ports: 1,
             speed_bps: ht_packet::wire::gbps(100),
@@ -63,6 +66,7 @@ pub fn run(spec: RunSpec<'_>) -> Vec<PortMeasurement> {
     let config = TesterConfig::builder()
         .ports(spec.ports)
         .speed_bps(spec.speed_bps)
+        .exec(spec.exec)
         .build()
         .expect("tester config");
     let mut built = build(&task, &config).expect("build");

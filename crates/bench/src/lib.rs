@@ -6,8 +6,8 @@
 //! * [`experiments`] — one function per table/figure.
 //! * [`resources`] — the Table 7 resource accounting.
 //! * [`ablations`] — design ablations (sketches, precision, cuckoo).
-//! * [`suite`] — every experiment as a typed `ht_harness::Experiment`
-//!   job for the parallel runner.
+//! * [`suite`] — the experiment table: one `ht_harness::Experiment` row
+//!   per table/figure/ablation for the parallel runner.
 //!
 //! This crate is a library only.  `htctl bench` is the one front end:
 //! `htctl bench --filter fig09` regenerates and prints one table or

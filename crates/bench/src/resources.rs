@@ -6,14 +6,17 @@
 //! it — matching how the paper isolates component costs.
 
 use ht_asic::resources::{register_usage, switch_p4_baseline, NormalizedUsage, ResourceUsage};
+use ht_asic::ExecMode;
 use ht_core::{build, TesterConfig};
 use ht_ntapi::{compile, parse};
 use ht_packet::wire::gbps;
 
-/// Total data-plane resource usage of a compiled-and-built task.
-pub fn task_usage(src: &str) -> ResourceUsage {
+/// Total data-plane resource usage of a task compiled and built on the
+/// `exec` executor.
+pub fn task_usage(src: &str, exec: ExecMode) -> ResourceUsage {
     let task = compile(&parse(src).expect("parse")).expect("compile");
-    let config = TesterConfig::builder().ports(4).speed_bps(gbps(100)).build().expect("config");
+    let config =
+        TesterConfig::builder().ports(4).speed_bps(gbps(100)).exec(exec).build().expect("config");
     let built = build(&task, &config).expect("build");
     let sw = built.switch;
     let mut u = sw.ingress.table_resources() + sw.egress.table_resources();
@@ -49,9 +52,9 @@ pub struct ResourceRow {
 const BARE: &str = "T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)";
 
 /// Computes every Table 7 row.
-pub fn table7_rows() -> Vec<ResourceRow> {
+pub fn table7_rows(exec: ExecMode) -> Vec<ResourceRow> {
     let base = switch_p4_baseline();
-    let bare = task_usage(BARE);
+    let bare = task_usage(BARE, exec);
     // The accelerator in isolation: the recirculation table, exactly as
     // the builder creates it.
     let accel_table = ht_asic::table::Table::new(
@@ -66,23 +69,30 @@ pub fn table7_rows() -> Vec<ResourceRow> {
     let replicator0 = saturating_delta(bare, accel);
     // replicator(100): 100 ns inter-departure → timer register + SALU +
     // fire gateway on top.
-    let with_timer = task_usage(&format!("{BARE}\n    .set(interval, 100ns)"));
+    let with_timer = task_usage(&format!("{BARE}\n    .set(interval, 100ns)"), exec);
     let replicator100 = saturating_delta(with_timer, accel);
 
-    let range_edit =
-        saturating_delta(task_usage(&format!("{BARE}\n    .set(dport, range(80, 100, 2))")), bare);
-    let rand_edit =
-        saturating_delta(task_usage(&format!("{BARE}\n    .set(dport, random(E, 128, 16))")), bare);
+    let range_edit = saturating_delta(
+        task_usage(&format!("{BARE}\n    .set(dport, range(80, 100, 2))"), exec),
+        bare,
+    );
+    let rand_edit = saturating_delta(
+        task_usage(&format!("{BARE}\n    .set(dport, random(E, 128, 16))"), exec),
+        bare,
+    );
     let filter_q = saturating_delta(
-        task_usage(&format!("{BARE}\nQ1 = query().filter(tcp_flag == SYN)")),
+        task_usage(&format!("{BARE}\nQ1 = query().filter(tcp_flag == SYN)"), exec),
         bare,
     );
     let distinct_q = saturating_delta(
-        task_usage(&format!("{BARE}\nQ1 = query().distinct(keys=[sip, dip, proto, sport, dport])")),
+        task_usage(
+            &format!("{BARE}\nQ1 = query().distinct(keys=[sip, dip, proto, sport, dport])"),
+            exec,
+        ),
         bare,
     );
     let reduce_q = saturating_delta(
-        task_usage(&format!("{BARE}\nQ1 = query().reduce(keys=[dip], func=sum)")),
+        task_usage(&format!("{BARE}\nQ1 = query().reduce(keys=[dip], func=sum)"), exec),
         bare,
     );
 

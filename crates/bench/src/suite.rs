@@ -1,12 +1,14 @@
-//! The experiment suite: every table/figure regenerator and ablation as a
-//! typed [`Experiment`] job for the parallel harness.
+//! The experiment suite: one ordered table ([`ALL`]) of [`Experiment`]
+//! rows over the table/figure regenerators and ablations below.
 //!
-//! Each impl is the former standalone binary's body with printing buffered
-//! ([`Out`]/[`Table`]) and `assert!`s turned into named [`RunOutput`]
-//! checks, so one failing shape no longer aborts the suite and `htctl
-//! bench` can report everything machine-readably.  At [`Scale::Smoke`] the
-//! heavy sweeps shrink (same code paths, smaller parameter grids) and the
-//! checks that only hold at full scale are skipped.
+//! Each function is the former standalone binary's body with printing
+//! buffered ([`Out`]/[`Table`]) and `assert!`s turned into named
+//! [`RunOutput`] checks, so one failing shape no longer aborts the suite
+//! and `htctl bench` can report everything machine-readably.  At
+//! [`Scale::Smoke`] the heavy sweeps shrink (same code paths, smaller
+//! parameter grids) and the checks that only hold at full scale are
+//! skipped.  Every tester an experiment builds runs on the executor its
+//! [`RunCx`] names.
 
 use crate::ablations::{accuracy_ablation, cuckoo_occupancy};
 use crate::experiments as ex;
@@ -14,143 +16,207 @@ use crate::resources::table7_rows;
 use ht_baseline::cost::CostModel;
 use ht_baseline::ratectl::RateControlMode;
 use ht_baseline::tester::{core_pps, MoonGenConfig};
-use ht_harness::{Experiment, Out, RunOutput, Scale, Shard, Table};
+use ht_harness::{Body, Experiment, Out, Part, RunCx, RunOutput, Scale, Table};
 use ht_packet::wire::{gbps, l1_rate_bps};
 use ht_stats::Distribution;
 
 /// The full suite, in report order (paper order, then ablations).
-pub fn all() -> Vec<Box<dyn Experiment>> {
-    vec![
-        Box::new(Table5Loc),
-        Box::new(Fig09ThroughputSingle),
-        Box::new(Fig10ThroughputMulti),
-        Box::new(Fig11Ratectl40g),
-        Box::new(Fig12Ratectl100g),
-        Box::new(Fig13RandomQq),
-        Box::new(Fig14Accelerator),
-        Box::new(Fig15Replicator),
-        Box::new(Fig16Collection),
-        Box::new(Fig17ExactMatch),
-        Box::new(Table6Cost),
-        Box::new(Table7Resources),
-        Box::new(Fig18DelayCase),
-        Box::new(Table8Synflood),
-        Box::new(AblationAccuracy),
-        Box::new(AblationPrecision),
-        Box::new(AblationCuckoo),
-    ]
-}
+pub const ALL: [Experiment; 17] = [
+    Experiment {
+        name: "table5_loc",
+        group: "paper",
+        title: "Table 5 — lines of code: NTAPI vs generated P4 vs MoonGen Lua",
+        weight: 1,
+        facts: true,
+        body: Body::Whole(table5_loc),
+    },
+    Experiment {
+        name: "fig09_throughput_single",
+        group: "paper",
+        title: "Fig. 9 — single-port throughput vs packet size",
+        weight: 6,
+        facts: false,
+        body: Body::Whole(fig09_throughput_single),
+    },
+    Experiment {
+        name: "fig10_throughput_multi",
+        group: "paper",
+        title: "Fig. 10 — multi-port / multi-core throughput",
+        weight: 4,
+        facts: false,
+        body: Body::Whole(fig10_throughput_multi),
+    },
+    Experiment {
+        name: "fig11_ratectl_40g",
+        group: "paper",
+        title: "Fig. 11 — rate-control accuracy at 40G vs MoonGen",
+        weight: 8,
+        facts: true,
+        body: Body::Whole(fig11_ratectl_40g),
+    },
+    Experiment {
+        name: "fig12_ratectl_100g",
+        group: "paper",
+        title: "Fig. 12 — rate-control accuracy at 100G",
+        weight: 8,
+        facts: true,
+        body: Body::Whole(fig12_ratectl_100g),
+    },
+    Experiment {
+        name: "fig13_random_qq",
+        group: "paper",
+        title: "Fig. 13 — Q-Q accuracy of data-plane random generation",
+        weight: 4,
+        facts: true,
+        body: Body::Whole(fig13_random_qq),
+    },
+    Experiment {
+        name: "fig14_accelerator",
+        group: "paper",
+        title: "Fig. 14 — accelerator RTT and capacity",
+        weight: 5,
+        facts: true,
+        body: Body::Whole(fig14_accelerator),
+    },
+    Experiment {
+        name: "fig15_replicator",
+        group: "paper",
+        title: "Fig. 15 — multicast engine delay",
+        weight: 5,
+        facts: true,
+        body: Body::Whole(fig15_replicator),
+    },
+    Experiment {
+        name: "fig16_collection",
+        group: "paper",
+        title: "Fig. 16 — test-statistic collection",
+        weight: 3,
+        facts: false,
+        body: Body::Whole(fig16_collection),
+    },
+    Experiment {
+        name: "fig17_exact_match",
+        group: "paper",
+        title: "Fig. 17 — exact-key-matching entries vs #flows",
+        weight: 10,
+        facts: false,
+        body: Body::Parts { parts: fig17_parts, merge: fig17_merge },
+    },
+    Experiment {
+        name: "table6_cost",
+        group: "paper",
+        title: "Table 6 — power and equipment cost per Tbps",
+        weight: 1,
+        facts: false,
+        body: Body::Whole(table6_cost),
+    },
+    Experiment {
+        name: "table7_resources",
+        group: "paper",
+        title: "Table 7 — data-plane resources per component",
+        weight: 2,
+        facts: true,
+        body: Body::Whole(table7_resources),
+    },
+    Experiment {
+        name: "fig18_delay_case",
+        group: "paper",
+        title: "Fig. 18 — delay-testing case study",
+        weight: 4,
+        facts: true,
+        body: Body::Whole(fig18_delay_case),
+    },
+    Experiment {
+        name: "table8_synflood",
+        group: "paper",
+        title: "Table 8 — SYN flood attack emulation",
+        weight: 3,
+        facts: true,
+        body: Body::Whole(table8_synflood),
+    },
+    Experiment {
+        name: "ablation_accuracy",
+        group: "ablation",
+        title: "Ablation — counter-based engine + exact matching vs sketches",
+        weight: 6,
+        facts: false,
+        body: Body::Whole(ablation_accuracy),
+    },
+    Experiment {
+        name: "ablation_precision",
+        group: "ablation",
+        title: "Ablation — rate-control precision vs accelerator occupancy",
+        weight: 5,
+        facts: true,
+        body: Body::Whole(ablation_precision),
+    },
+    Experiment {
+        name: "ablation_cuckoo",
+        group: "ablation",
+        title: "Ablation — cuckoo hashing vs single-hash residency",
+        weight: 2,
+        facts: false,
+        body: Body::Whole(ablation_cuckoo),
+    },
+];
 
 // ------------------------------------------------------------- Table 5
 
 /// Table 5 — lines of code.
-pub struct Table5Loc;
-
-impl Experiment for Table5Loc {
-    fn name(&self) -> &'static str {
-        "table5_loc"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Table 5 — lines of code: NTAPI vs generated P4 vs MoonGen Lua"
-    }
-    fn run(&self, _scale: Scale) -> RunOutput {
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Table 5 — Lines of code for different applications");
-        out.say(
-            "(paper: Throughput 9/172/43, Delay 10/134/71, IP Scan 7/133/48, SYN Flood 5/94/63)",
-        );
-        out.blank();
-        let t = Table::new(
+fn table5_loc(_cx: RunCx) -> RunOutput {
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Table 5 — Lines of code for different applications");
+    out.say("(paper: Throughput 9/172/43, Delay 10/134/71, IP Scan 7/133/48, SYN Flood 5/94/63)");
+    out.blank();
+    let t = Table::new(
+        &mut out,
+        &["Application", "NTAPI", "P4 (generated)", "MoonGen Lua"],
+        &[24, 6, 14, 12],
+    );
+    let mut worst_reduction = f64::INFINITY;
+    for row in ex::table5_loc() {
+        t.row(
             &mut out,
-            &["Application", "NTAPI", "P4 (generated)", "MoonGen Lua"],
-            &[24, 6, 14, 12],
+            &[row.app.to_string(), row.ntapi.to_string(), row.p4.to_string(), row.lua.to_string()],
         );
-        let mut worst_reduction = f64::INFINITY;
-        for row in ex::table5_loc() {
-            t.row(
-                &mut out,
-                &[
-                    row.app.to_string(),
-                    row.ntapi.to_string(),
-                    row.p4.to_string(),
-                    row.lua.to_string(),
-                ],
-            );
-            worst_reduction = worst_reduction.min(1.0 - row.ntapi as f64 / row.lua as f64);
-            r.check(
-                &format!("p4_10x_{}", row.app.replace(' ', "_").to_lowercase()),
-                row.p4 >= 10 * row.ntapi,
-                format!("P4 {} vs NTAPI {}", row.p4, row.ntapi),
-            );
-        }
-        out.blank();
-        out.say(format!(
-            "minimum code-size reduction vs MoonGen Lua: {:.1}% (paper: ≥74.4%)",
-            worst_reduction * 100.0
-        ));
+        worst_reduction = worst_reduction.min(1.0 - row.ntapi as f64 / row.lua as f64);
         r.check(
-            "reduction_vs_lua",
-            worst_reduction > 0.744,
-            format!("{:.1}%", worst_reduction * 100.0),
+            &format!("p4_10x_{}", row.app.replace(' ', "_").to_lowercase()),
+            row.p4 >= 10 * row.ntapi,
+            format!("P4 {} vs NTAPI {}", row.p4, row.ntapi),
         );
-        r.lines = out.into_lines();
-        r
     }
+    out.blank();
+    out.say(format!(
+        "minimum code-size reduction vs MoonGen Lua: {:.1}% (paper: ≥74.4%)",
+        worst_reduction * 100.0
+    ));
+    r.check(
+        "reduction_vs_lua",
+        worst_reduction > 0.744,
+        format!("{:.1}%", worst_reduction * 100.0),
+    );
+    r.lines = out.into_lines();
+    r
 }
 
 // -------------------------------------------------------------- Fig. 9
 
 /// Fig. 9 — single-port throughput vs packet size.
-pub struct Fig09ThroughputSingle;
-
-impl Experiment for Fig09ThroughputSingle {
-    fn name(&self) -> &'static str {
-        "fig09_throughput_single"
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 9 — single-port throughput vs packet size"
-    }
-    fn weight(&self) -> u32 {
-        6
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let sizes: &[usize] = match scale {
-            Scale::Full => &[64, 128, 256, 512, 1024, 1500],
-            Scale::Smoke => &[64, 512, 1500],
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 9 — single-port throughput vs packet size");
-        out.blank();
-        for (label, speed) in [("HyperTester @100G", gbps(100)), ("HyperTester @40G", gbps(40))] {
-            out.say(format!("{label} (paper: line rate at every size)"));
-            let t =
-                Table::new(&mut out, &["size B", "Mpps", "L1 Gbps", "line Mpps"], &[7, 9, 9, 10]);
-            for p in ex::fig9_ht_single_port(speed, sizes) {
-                t.row(
-                    &mut out,
-                    &[
-                        p.frame_len.to_string(),
-                        format!("{:.2}", p.mpps),
-                        format!("{:.1}", p.l1_gbps),
-                        format!("{:.2}", p.line_mpps),
-                    ],
-                );
-                r.check(
-                    &format!("line_rate_{}_{}B", label.rsplit('@').next().unwrap(), p.frame_len),
-                    (p.mpps - p.line_mpps).abs() / p.line_mpps < 0.02,
-                    format!("{:.2} vs line {:.2} Mpps", p.mpps, p.line_mpps),
-                );
-            }
-            out.blank();
-        }
-        out.say("MoonGen @40G, 1 core (paper: below line rate for small packets)");
+fn fig09_throughput_single(cx: RunCx) -> RunOutput {
+    let sizes: &[usize] = match cx.scale {
+        Scale::Full => &[64, 128, 256, 512, 1024, 1500],
+        Scale::Smoke => &[64, 512, 1500],
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 9 — single-port throughput vs packet size");
+    out.blank();
+    for (label, speed) in [("HyperTester @100G", gbps(100)), ("HyperTester @40G", gbps(40))] {
+        out.say(format!("{label} (paper: line rate at every size)"));
         let t = Table::new(&mut out, &["size B", "Mpps", "L1 Gbps", "line Mpps"], &[7, 9, 9, 10]);
-        for p in ex::fig9_mg_single_port(gbps(40), sizes) {
+        for p in ex::fig9_ht_single_port(cx.exec, speed, sizes) {
             t.row(
                 &mut out,
                 &[
@@ -160,491 +226,389 @@ impl Experiment for Fig09ThroughputSingle {
                     format!("{:.2}", p.line_mpps),
                 ],
             );
+            r.check(
+                &format!("line_rate_{}_{}B", label.rsplit('@').next().unwrap(), p.frame_len),
+                (p.mpps - p.line_mpps).abs() / p.line_mpps < 0.02,
+                format!("{:.2} vs line {:.2} Mpps", p.mpps, p.line_mpps),
+            );
         }
-        let small = ex::fig9_mg_single_port(gbps(40), &[64])[0].clone();
-        r.check(
-            "mg_cpu_bound_64B",
-            small.mpps < small.line_mpps * 0.3,
-            format!("{:.2} of {:.2} Mpps", small.mpps, small.line_mpps),
-        );
         out.blank();
-        out.say("HT line rate everywhere; MG CPU-bound below ~300 B");
-        r.lines = out.into_lines();
-        r
     }
+    out.say("MoonGen @40G, 1 core (paper: below line rate for small packets)");
+    let t = Table::new(&mut out, &["size B", "Mpps", "L1 Gbps", "line Mpps"], &[7, 9, 9, 10]);
+    for p in ex::fig9_mg_single_port(gbps(40), sizes) {
+        t.row(
+            &mut out,
+            &[
+                p.frame_len.to_string(),
+                format!("{:.2}", p.mpps),
+                format!("{:.1}", p.l1_gbps),
+                format!("{:.2}", p.line_mpps),
+            ],
+        );
+    }
+    let small = ex::fig9_mg_single_port(gbps(40), &[64])[0].clone();
+    r.check(
+        "mg_cpu_bound_64B",
+        small.mpps < small.line_mpps * 0.3,
+        format!("{:.2} of {:.2} Mpps", small.mpps, small.line_mpps),
+    );
+    out.blank();
+    out.say("HT line rate everywhere; MG CPU-bound below ~300 B");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 10
 
 /// Fig. 10 — multi-port (HT) and multi-core (MG) throughput.
-pub struct Fig10ThroughputMulti;
-
-impl Experiment for Fig10ThroughputMulti {
-    fn name(&self) -> &'static str {
-        "fig10_throughput_multi"
+fn fig10_throughput_multi(cx: RunCx) -> RunOutput {
+    let max_ports = match cx.scale {
+        Scale::Full => 4,
+        Scale::Smoke => 2,
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 10 — multi-port (HT) and multi-core (MG) throughput, 64 B frames");
+    out.blank();
+    out.say("HyperTester, 100G ports (paper: line rate, 400 Gbps at 4 ports)");
+    let t = Table::new(&mut out, &["ports", "L1 Gbps"], &[6, 9]);
+    for (ports, l1) in ex::fig10_ht_multi_port(cx.exec, max_ports) {
+        t.row(&mut out, &[ports.to_string(), format!("{l1:.1}")]);
+        r.check(
+            &format!("ht_line_rate_{ports}p"),
+            (l1 - 100.0 * f64::from(ports)).abs() < 2.0,
+            format!("{l1:.1} Gbps"),
+        );
     }
-    fn title(&self) -> &'static str {
-        "Fig. 10 — multi-port / multi-core throughput"
+    out.blank();
+    out.say("MoonGen, cores on 10G ports (paper: ~10 Gbps per core, 80 Gbps at 8)");
+    let t = Table::new(&mut out, &["cores", "L1 Gbps"], &[6, 9]);
+    let mg = ex::fig10_mg_multi_core();
+    for (cores, l1) in &mg {
+        t.row(&mut out, &[cores.to_string(), format!("{l1:.1}")]);
     }
-    fn weight(&self) -> u32 {
-        4
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let max_ports = match scale {
-            Scale::Full => 4,
-            Scale::Smoke => 2,
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 10 — multi-port (HT) and multi-core (MG) throughput, 64 B frames");
-        out.blank();
-        out.say("HyperTester, 100G ports (paper: line rate, 400 Gbps at 4 ports)");
-        let t = Table::new(&mut out, &["ports", "L1 Gbps"], &[6, 9]);
-        for (ports, l1) in ex::fig10_ht_multi_port(max_ports) {
-            t.row(&mut out, &[ports.to_string(), format!("{l1:.1}")]);
-            r.check(
-                &format!("ht_line_rate_{ports}p"),
-                (l1 - 100.0 * f64::from(ports)).abs() < 2.0,
-                format!("{l1:.1} Gbps"),
-            );
-        }
-        out.blank();
-        out.say("MoonGen, cores on 10G ports (paper: ~10 Gbps per core, 80 Gbps at 8)");
-        let t = Table::new(&mut out, &["cores", "L1 Gbps"], &[6, 9]);
-        let mg = ex::fig10_mg_multi_core();
-        for (cores, l1) in &mg {
-            t.row(&mut out, &[cores.to_string(), format!("{l1:.1}")]);
-        }
-        let eight = mg[7].1;
-        r.check("mg_80g_at_8_cores", (eight - 80.0).abs() < 1.0, format!("{eight:.1} Gbps"));
-        out.blank();
-        out.say("HT line rate per port; MG linear 10 Gbps/core to 80 Gbps");
-        r.lines = out.into_lines();
-        r
-    }
+    let eight = mg[7].1;
+    r.check("mg_80g_at_8_cores", (eight - 80.0).abs() < 1.0, format!("{eight:.1} Gbps"));
+    out.blank();
+    out.say("HT line rate per port; MG linear 10 Gbps/core to 80 Gbps");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 11
 
 /// Fig. 11 — rate-control accuracy at 40G, HT vs MG.
-pub struct Fig11Ratectl40g;
-
-impl Experiment for Fig11Ratectl40g {
-    fn name(&self) -> &'static str {
-        "fig11_ratectl_40g"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 11 — rate-control accuracy at 40G vs MoonGen"
-    }
-    fn weight(&self) -> u32 {
-        8
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let rates: &[u64] = match scale {
-            Scale::Full => &[100_000, 1_000_000, 5_000_000, 20_000_000],
-            Scale::Smoke => &[100_000, 5_000_000],
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 11 — rate-control accuracy at 40G, 64 B frames");
-        out.say("(errors over inter-departure time, ns)");
-        out.blank();
-        let t = Table::new(
+fn fig11_ratectl_40g(cx: RunCx) -> RunOutput {
+    let rates: &[u64] = match cx.scale {
+        Scale::Full => &[100_000, 1_000_000, 5_000_000, 20_000_000],
+        Scale::Smoke => &[100_000, 5_000_000],
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 11 — rate-control accuracy at 40G, 64 B frames");
+    out.say("(errors over inter-departure time, ns)");
+    out.blank();
+    let t = Table::new(
+        &mut out,
+        &["rate pps", "HT MAE", "HT MAD", "HT RMSE", "MG MAE", "MG MAD", "MG RMSE", "ratio"],
+        &[10, 8, 8, 8, 8, 8, 8, 6],
+    );
+    for &rate in rates {
+        let ht = ex::ht_rate_control(cx.exec, rate, 64, gbps(40));
+        let mg = ex::mg_rate_control(rate, 64, gbps(40), RateControlMode::Hardware);
+        let ratio = mg.metrics.mae / ht.metrics.mae;
+        t.row(
             &mut out,
-            &["rate pps", "HT MAE", "HT MAD", "HT RMSE", "MG MAE", "MG MAD", "MG RMSE", "ratio"],
-            &[10, 8, 8, 8, 8, 8, 8, 6],
+            &[
+                rate.to_string(),
+                format!("{:.2}", ht.metrics.mae),
+                format!("{:.2}", ht.metrics.mad),
+                format!("{:.2}", ht.metrics.rmse),
+                format!("{:.1}", mg.metrics.mae),
+                format!("{:.1}", mg.metrics.mad),
+                format!("{:.1}", mg.metrics.rmse),
+                format!("{ratio:.0}x"),
+            ],
         );
-        for &rate in rates {
-            let ht = ex::ht_rate_control(rate, 64, gbps(40));
-            let mg = ex::mg_rate_control(rate, 64, gbps(40), RateControlMode::Hardware);
-            let ratio = mg.metrics.mae / ht.metrics.mae;
-            t.row(
-                &mut out,
-                &[
-                    rate.to_string(),
-                    format!("{:.2}", ht.metrics.mae),
-                    format!("{:.2}", ht.metrics.mad),
-                    format!("{:.2}", ht.metrics.rmse),
-                    format!("{:.1}", mg.metrics.mae),
-                    format!("{:.1}", mg.metrics.mad),
-                    format!("{:.1}", mg.metrics.rmse),
-                    format!("{ratio:.0}x"),
-                ],
-            );
-            r.check(&format!("ht_beats_mg_10x_{rate}pps"), ratio > 10.0, format!("{ratio:.1}x"));
-        }
-        out.blank();
-        out.say("HyperTester errors are >10x smaller than MoonGen at every rate");
-        r.lines = out.into_lines();
-        r
+        r.check(&format!("ht_beats_mg_10x_{rate}pps"), ratio > 10.0, format!("{ratio:.1}x"));
     }
+    out.blank();
+    out.say("HyperTester errors are >10x smaller than MoonGen at every rate");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 12
 
 /// Fig. 12 — rate-control accuracy at 100G.
-pub struct Fig12Ratectl100g;
-
-impl Experiment for Fig12Ratectl100g {
-    fn name(&self) -> &'static str {
-        "fig12_ratectl_100g"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 12 — rate-control accuracy at 100G"
-    }
-    fn weight(&self) -> u32 {
-        8
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let (rates, sizes): (&[u64], &[usize]) = match scale {
-            Scale::Full => {
-                (&[100_000, 1_000_000, 10_000_000, 50_000_000], &[64, 256, 512, 1024, 1500])
-            }
-            Scale::Smoke => (&[100_000, 10_000_000], &[64, 512, 1500]),
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 12 — HyperTester rate-control accuracy at 100G");
-        out.blank();
-        out.say("(a) errors vs generation rate, 64 B frames");
-        let t = Table::new(&mut out, &["rate pps", "MAE ns", "MAD ns", "RMSE ns"], &[11, 8, 8, 8]);
-        let mut maes = Vec::new();
-        for &rate in rates {
-            let p = ex::ht_rate_control(rate, 64, gbps(100));
-            t.row(
-                &mut out,
-                &[
-                    rate.to_string(),
-                    format!("{:.2}", p.metrics.mae),
-                    format!("{:.2}", p.metrics.mad),
-                    format!("{:.2}", p.metrics.rmse),
-                ],
-            );
-            maes.push(p.metrics.mae);
-        }
-        // "the packet generation speed does not bring an obvious influence".
-        let spread = maes.iter().cloned().fold(f64::MIN, f64::max)
-            / maes.iter().cloned().fold(f64::MAX, f64::min);
-        r.check("rate_independent", spread < 5.0, format!("spread {spread:.1}x"));
-        out.blank();
-        out.say("(b) errors vs packet size, 1 Mpps");
-        let t = Table::new(&mut out, &["size B", "MAE ns", "MAD ns", "RMSE ns"], &[7, 8, 8, 8]);
-        let mut by_size = Vec::new();
-        for &size in sizes {
-            let p = ex::ht_rate_control(1_000_000, size, gbps(100));
-            t.row(
-                &mut out,
-                &[
-                    size.to_string(),
-                    format!("{:.2}", p.metrics.mae),
-                    format!("{:.2}", p.metrics.mad),
-                    format!("{:.2}", p.metrics.rmse),
-                ],
-            );
-            by_size.push((size, p.metrics.mae));
-        }
-        r.check(
-            "errors_grow_with_size",
-            by_size.last().unwrap().1 > by_size[0].1,
-            format!("{:.2} -> {:.2} ns", by_size[0].1, by_size.last().unwrap().1),
+fn fig12_ratectl_100g(cx: RunCx) -> RunOutput {
+    let (rates, sizes): (&[u64], &[usize]) = match cx.scale {
+        Scale::Full => (&[100_000, 1_000_000, 10_000_000, 50_000_000], &[64, 256, 512, 1024, 1500]),
+        Scale::Smoke => (&[100_000, 10_000_000], &[64, 512, 1500]),
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 12 — HyperTester rate-control accuracy at 100G");
+    out.blank();
+    out.say("(a) errors vs generation rate, 64 B frames");
+    let t = Table::new(&mut out, &["rate pps", "MAE ns", "MAD ns", "RMSE ns"], &[11, 8, 8, 8]);
+    let mut maes = Vec::new();
+    for &rate in rates {
+        let p = ex::ht_rate_control(cx.exec, rate, 64, gbps(100));
+        t.row(
+            &mut out,
+            &[
+                rate.to_string(),
+                format!("{:.2}", p.metrics.mae),
+                format!("{:.2}", p.metrics.mad),
+                format!("{:.2}", p.metrics.rmse),
+            ],
         );
-        out.blank();
-        out.say("rate-independent, size-dependent errors (Fig. 12 shape)");
-        r.lines = out.into_lines();
-        r
+        maes.push(p.metrics.mae);
     }
+    // "the packet generation speed does not bring an obvious influence".
+    let spread = maes.iter().cloned().fold(f64::MIN, f64::max)
+        / maes.iter().cloned().fold(f64::MAX, f64::min);
+    r.check("rate_independent", spread < 5.0, format!("spread {spread:.1}x"));
+    out.blank();
+    out.say("(b) errors vs packet size, 1 Mpps");
+    let t = Table::new(&mut out, &["size B", "MAE ns", "MAD ns", "RMSE ns"], &[7, 8, 8, 8]);
+    let mut by_size = Vec::new();
+    for &size in sizes {
+        let p = ex::ht_rate_control(cx.exec, 1_000_000, size, gbps(100));
+        t.row(
+            &mut out,
+            &[
+                size.to_string(),
+                format!("{:.2}", p.metrics.mae),
+                format!("{:.2}", p.metrics.mad),
+                format!("{:.2}", p.metrics.rmse),
+            ],
+        );
+        by_size.push((size, p.metrics.mae));
+    }
+    r.check(
+        "errors_grow_with_size",
+        by_size.last().unwrap().1 > by_size[0].1,
+        format!("{:.2} -> {:.2} ns", by_size[0].1, by_size.last().unwrap().1),
+    );
+    out.blank();
+    out.say("rate-independent, size-dependent errors (Fig. 12 shape)");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 13
 
 /// Fig. 13 — Q-Q accuracy of data-plane random generation.
-pub struct Fig13RandomQq;
-
-impl Experiment for Fig13RandomQq {
-    fn name(&self) -> &'static str {
-        "fig13_random_qq"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 13 — Q-Q accuracy of data-plane random generation"
-    }
-    fn weight(&self) -> u32 {
-        4
-    }
-    fn run(&self, _scale: Scale) -> RunOutput {
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 13 — Q-Q accuracy of data-plane random generation");
-        out.blank();
-        // 13-bit precision: the largest inverse-transform table that fits
-        // the per-stage TCAM budget (14 bits needs 28 of 24 blocks and is
-        // rejected by static verification).  KS stays < 0.002.
-        let cases: [(&str, &str, Distribution); 2] = [
-            (
-                "normal(30000, 2000)",
-                "random(normal, 30000, 2000, 13)",
-                Distribution::Normal { mean: 30000.0, std_dev: 2000.0 },
-            ),
-            (
-                "exponential(mean 4000)",
-                "random(exp, 4000, 13)",
-                Distribution::Exponential { rate: 1.0 / 4000.0 },
-            ),
-        ];
-        for (label, src, dist) in cases {
-            let (n, deciles, ks) = ex::fig13_random(src, dist);
-            out.say(format!("{label}: {n} samples, KS statistic {ks:.4}"));
-            let t = Table::new(&mut out, &["decile", "theoretical", "empirical"], &[6, 12, 12]);
-            for (i, (th, em)) in deciles.iter().enumerate() {
-                t.row(&mut out, &[format!("{}0%", i + 1), format!("{th:.0}"), format!("{em:.0}")]);
-            }
-            // Deciles on the diagonal: within 2 % of the theoretical
-            // quantile span — the "very strong similarity" of Fig. 13.
-            let span = deciles[8].0 - deciles[0].0;
-            let worst =
-                deciles.iter().map(|(th, em)| (th - em).abs() / span).fold(0.0f64, f64::max);
-            r.check(
-                &format!("qq_diagonal_{}", label.split('(').next().unwrap()),
-                worst < 0.02,
-                format!("worst decile offset {:.2}% of span", worst * 100.0),
-            );
-            out.blank();
+fn fig13_random_qq(cx: RunCx) -> RunOutput {
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 13 — Q-Q accuracy of data-plane random generation");
+    out.blank();
+    // 13-bit precision: the largest inverse-transform table that fits
+    // the per-stage TCAM budget (14 bits needs 28 of 24 blocks and is
+    // rejected by static verification).  KS stays < 0.002.
+    let cases: [(&str, &str, Distribution); 2] = [
+        (
+            "normal(30000, 2000)",
+            "random(normal, 30000, 2000, 13)",
+            Distribution::Normal { mean: 30000.0, std_dev: 2000.0 },
+        ),
+        (
+            "exponential(mean 4000)",
+            "random(exp, 4000, 13)",
+            Distribution::Exponential { rate: 1.0 / 4000.0 },
+        ),
+    ];
+    for (label, src, dist) in cases {
+        let (n, deciles, ks) = ex::fig13_random(cx.exec, src, dist);
+        out.say(format!("{label}: {n} samples, KS statistic {ks:.4}"));
+        let t = Table::new(&mut out, &["decile", "theoretical", "empirical"], &[6, 12, 12]);
+        for (i, (th, em)) in deciles.iter().enumerate() {
+            t.row(&mut out, &[format!("{}0%", i + 1), format!("{th:.0}"), format!("{em:.0}")]);
         }
-        out.say("generated values sit on the Q-Q diagonal for both distributions");
-        r.lines = out.into_lines();
-        r
+        // Deciles on the diagonal: within 2 % of the theoretical
+        // quantile span — the "very strong similarity" of Fig. 13.
+        let span = deciles[8].0 - deciles[0].0;
+        let worst = deciles.iter().map(|(th, em)| (th - em).abs() / span).fold(0.0f64, f64::max);
+        r.check(
+            &format!("qq_diagonal_{}", label.split('(').next().unwrap()),
+            worst < 0.02,
+            format!("worst decile offset {:.2}% of span", worst * 100.0),
+        );
+        out.blank();
     }
+    out.say("generated values sit on the Q-Q diagonal for both distributions");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 14
 
 /// Fig. 14 — accelerator RTT and capacity.
-pub struct Fig14Accelerator;
+fn fig14_accelerator(cx: RunCx) -> RunOutput {
+    let (sizes, loops): (&[usize], usize) = match cx.scale {
+        Scale::Full => (&[64, 256, 512, 1024, 1280, 1500], 20_000),
+        Scale::Smoke => (&[64, 512, 1500], 2_000),
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 14 — accelerator RTT and capacity");
+    out.say("(paper: 64 B loop ≤570 ns, RMSE <5 ns, <590 ns up to 1500 B; capacity 89 @64 B)");
+    out.blank();
+    let points = ex::fig14_accelerator(cx.exec, sizes, loops);
+    let t = Table::new(&mut out, &["size B", "RTT ns", "RMSE ns", "capacity"], &[7, 9, 8, 9]);
+    for p in &points {
+        t.row(
+            &mut out,
+            &[
+                p.frame_len.to_string(),
+                format!("{:.1}", p.rtt_ns),
+                format!("{:.2}", p.rtt_rmse_ns),
+                p.capacity.to_string(),
+            ],
+        );
+    }
+    r.check(
+        "rtt_64B_570ns",
+        (points[0].rtt_ns - 570.0).abs() < 2.0,
+        format!("{:.1} ns", points[0].rtt_ns),
+    );
+    r.check(
+        "rmse_under_5ns",
+        points.iter().all(|p| p.rtt_rmse_ns < 5.0),
+        format!("max {:.2} ns", points.iter().map(|p| p.rtt_rmse_ns).fold(0.0f64, f64::max)),
+    );
+    r.check(
+        "rtt_under_590ns",
+        points.iter().all(|p| p.rtt_ns < 590.0),
+        format!("max {:.1} ns", points.iter().map(|p| p.rtt_ns).fold(0.0f64, f64::max)),
+    );
+    r.check("capacity_89_at_64B", points[0].capacity == 89, points[0].capacity.to_string());
 
-impl Experiment for Fig14Accelerator {
-    fn name(&self) -> &'static str {
-        "fig14_accelerator"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 14 — accelerator RTT and capacity"
-    }
-    fn weight(&self) -> u32 {
-        5
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let (sizes, loops): (&[usize], usize) = match scale {
-            Scale::Full => (&[64, 256, 512, 1024, 1280, 1500], 20_000),
-            Scale::Smoke => (&[64, 512, 1500], 2_000),
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 14 — accelerator RTT and capacity");
-        out.say("(paper: 64 B loop ≤570 ns, RMSE <5 ns, <590 ns up to 1500 B; capacity 89 @64 B)");
-        out.blank();
-        let points = ex::fig14_accelerator(sizes, loops);
-        let t = Table::new(&mut out, &["size B", "RTT ns", "RMSE ns", "capacity"], &[7, 9, 8, 9]);
-        for p in &points {
-            t.row(
-                &mut out,
-                &[
-                    p.frame_len.to_string(),
-                    format!("{:.1}", p.rtt_ns),
-                    format!("{:.2}", p.rtt_rmse_ns),
-                    p.capacity.to_string(),
-                ],
-            );
-        }
-        r.check(
-            "rtt_64B_570ns",
-            (points[0].rtt_ns - 570.0).abs() < 2.0,
-            format!("{:.1} ns", points[0].rtt_ns),
-        );
-        r.check(
-            "rmse_under_5ns",
-            points.iter().all(|p| p.rtt_rmse_ns < 5.0),
-            format!("max {:.2} ns", points.iter().map(|p| p.rtt_rmse_ns).fold(0.0f64, f64::max)),
-        );
-        r.check(
-            "rtt_under_590ns",
-            points.iter().all(|p| p.rtt_ns < 590.0),
-            format!("max {:.1} ns", points.iter().map(|p| p.rtt_ns).fold(0.0f64, f64::max)),
-        );
-        r.check("capacity_89_at_64B", points[0].capacity == 89, points[0].capacity.to_string());
-
-        // Empirical capacity check: at 89 templates the loop time is still
-        // the unloaded RTT; at 140 the recirculation path serializes and
-        // the loop inflates toward 140 × 6.4 ns = 896 ns.
-        let at_89 = ex::accelerator_loop_time_ns(64, 89);
-        let at_140 = ex::accelerator_loop_time_ns(64, 140);
-        out.blank();
-        out.say(format!("loop time @89 templates: {at_89:.0} ns; @140 templates: {at_140:.0} ns"));
-        r.check("sustainable_at_89", (at_89 - 570.0).abs() < 10.0, format!("{at_89:.0} ns"));
-        r.check("oversubscribed_at_140", at_140 > 850.0, format!("{at_140:.0} ns"));
-        out.blank();
-        out.say("570 ns loops, capacity 89 confirmed empirically");
-        r.lines = out.into_lines();
-        r
-    }
+    // Empirical capacity check: at 89 templates the loop time is still
+    // the unloaded RTT; at 140 the recirculation path serializes and
+    // the loop inflates toward 140 × 6.4 ns = 896 ns.
+    let at_89 = ex::accelerator_loop_time_ns(cx.exec, 64, 89);
+    let at_140 = ex::accelerator_loop_time_ns(cx.exec, 64, 140);
+    out.blank();
+    out.say(format!("loop time @89 templates: {at_89:.0} ns; @140 templates: {at_140:.0} ns"));
+    r.check("sustainable_at_89", (at_89 - 570.0).abs() < 10.0, format!("{at_89:.0} ns"));
+    r.check("oversubscribed_at_140", at_140 > 850.0, format!("{at_140:.0} ns"));
+    out.blank();
+    out.say("570 ns loops, capacity 89 confirmed empirically");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 15
 
 /// Fig. 15 — multicast engine delay.
-pub struct Fig15Replicator;
-
-impl Experiment for Fig15Replicator {
-    fn name(&self) -> &'static str {
-        "fig15_replicator"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 15 — multicast engine delay"
-    }
-    fn weight(&self) -> u32 {
-        5
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let (sizes, grid_ports, grid_rates): (&[usize], &[u16], &[u64]) = match scale {
-            Scale::Full => (&[64, 256, 512, 1024, 1280], &[1, 2, 4], &[100_000, 1_000_000]),
-            Scale::Smoke => (&[64, 1280], &[1, 4], &[1_000_000]),
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 15 — multicast engine delay");
-        out.say("(paper: 389 ns @64 B, +65 ns @1280 B, jitter RMSE <4.5 ns; flat vs ports/speed)");
-        out.blank();
-        out.say("(a) delay vs packet size (1 port, 1 Mpps)");
-        let points = ex::fig15_replicator(sizes, 1, 1_000_000);
-        let t = Table::new(&mut out, &["size B", "delay ns", "RMSE ns"], &[7, 9, 9]);
-        for p in &points {
-            t.row(
-                &mut out,
-                &[
-                    p.frame_len.to_string(),
-                    format!("{:.1}", p.delay_ns),
-                    format!("{:.2}", p.delay_rmse_ns),
-                ],
-            );
-        }
-        r.check(
-            "delay_64B_389ns",
-            (points[0].delay_ns - 389.0).abs() < 3.0,
-            format!("{:.1} ns", points[0].delay_ns),
+fn fig15_replicator(cx: RunCx) -> RunOutput {
+    let (sizes, grid_ports, grid_rates): (&[usize], &[u16], &[u64]) = match cx.scale {
+        Scale::Full => (&[64, 256, 512, 1024, 1280], &[1, 2, 4], &[100_000, 1_000_000]),
+        Scale::Smoke => (&[64, 1280], &[1, 4], &[1_000_000]),
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 15 — multicast engine delay");
+    out.say("(paper: 389 ns @64 B, +65 ns @1280 B, jitter RMSE <4.5 ns; flat vs ports/speed)");
+    out.blank();
+    out.say("(a) delay vs packet size (1 port, 1 Mpps)");
+    let points = ex::fig15_replicator(cx.exec, sizes, 1, 1_000_000);
+    let t = Table::new(&mut out, &["size B", "delay ns", "RMSE ns"], &[7, 9, 9]);
+    for p in &points {
+        t.row(
+            &mut out,
+            &[
+                p.frame_len.to_string(),
+                format!("{:.1}", p.delay_ns),
+                format!("{:.2}", p.delay_rmse_ns),
+            ],
         );
-        let growth = points.last().unwrap().delay_ns - points[0].delay_ns;
-        r.check("growth_to_1280B_65ns", (growth - 65.0).abs() < 5.0, format!("{growth:.1} ns"));
-        r.check(
-            "jitter_under_4_5ns",
-            points.iter().all(|p| p.delay_rmse_ns < 4.5),
-            format!("max {:.2} ns", points.iter().map(|p| p.delay_rmse_ns).fold(0.0f64, f64::max)),
-        );
-        out.blank();
-        out.say("(b) delay of 64 B replicas vs port count and rate");
-        let t = Table::new(&mut out, &["ports", "rate pps", "delay ns"], &[6, 10, 9]);
-        let mut delays = Vec::new();
-        for &ports in grid_ports {
-            for &rate in grid_rates {
-                let p = &ex::fig15_replicator(&[64], ports, rate)[0];
-                t.row(
-                    &mut out,
-                    &[ports.to_string(), rate.to_string(), format!("{:.1}", p.delay_ns)],
-                );
-                delays.push(p.delay_ns);
-            }
-        }
-        let spread = delays.iter().cloned().fold(f64::MIN, f64::max)
-            - delays.iter().cloned().fold(f64::MAX, f64::min);
-        r.check("flat_vs_ports_speed", spread < 3.0, format!("spread {spread:.1} ns"));
-        out.blank();
-        out.say("389 ns engine delay, size-dependent, port/speed-independent");
-        r.lines = out.into_lines();
-        r
     }
+    r.check(
+        "delay_64B_389ns",
+        (points[0].delay_ns - 389.0).abs() < 3.0,
+        format!("{:.1} ns", points[0].delay_ns),
+    );
+    let growth = points.last().unwrap().delay_ns - points[0].delay_ns;
+    r.check("growth_to_1280B_65ns", (growth - 65.0).abs() < 5.0, format!("{growth:.1} ns"));
+    r.check(
+        "jitter_under_4_5ns",
+        points.iter().all(|p| p.delay_rmse_ns < 4.5),
+        format!("max {:.2} ns", points.iter().map(|p| p.delay_rmse_ns).fold(0.0f64, f64::max)),
+    );
+    out.blank();
+    out.say("(b) delay of 64 B replicas vs port count and rate");
+    let t = Table::new(&mut out, &["ports", "rate pps", "delay ns"], &[6, 10, 9]);
+    let mut delays = Vec::new();
+    for &ports in grid_ports {
+        for &rate in grid_rates {
+            let p = &ex::fig15_replicator(cx.exec, &[64], ports, rate)[0];
+            t.row(&mut out, &[ports.to_string(), rate.to_string(), format!("{:.1}", p.delay_ns)]);
+            delays.push(p.delay_ns);
+        }
+    }
+    let spread = delays.iter().cloned().fold(f64::MIN, f64::max)
+        - delays.iter().cloned().fold(f64::MAX, f64::min);
+    r.check("flat_vs_ports_speed", spread < 3.0, format!("spread {spread:.1} ns"));
+    out.blank();
+    out.say("389 ns engine delay, size-dependent, port/speed-independent");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 16
 
 /// Fig. 16 — statistic collection (digest goodput, counter pull).
-pub struct Fig16Collection;
-
-impl Experiment for Fig16Collection {
-    fn name(&self) -> &'static str {
-        "fig16_collection"
+fn fig16_collection(cx: RunCx) -> RunOutput {
+    let (sizes, counts): (&[usize], &[usize]) = match cx.scale {
+        Scale::Full => (&[16, 32, 64, 128, 256], &[16, 256, 4096, 16384, 65536]),
+        Scale::Smoke => (&[16, 64, 256], &[16, 4096, 65536]),
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 16 — statistic collection");
+    out.say("(paper: goodput grows with message size to ≈4.5 Mbps @256 B;");
+    out.say(" batch pull reads 65536 counters in ≈0.2 s, far ahead of one-by-one)");
+    out.blank();
+    out.say("(a) digest goodput vs message size");
+    let rows = ex::fig16_digest_goodput(sizes);
+    let t = Table::new(&mut out, &["msg bytes", "goodput Mbps"], &[9, 13]);
+    for &(s, g) in &rows {
+        t.row(&mut out, &[s.to_string(), format!("{g:.2}")]);
     }
-    fn title(&self) -> &'static str {
-        "Fig. 16 — test-statistic collection"
+    r.check(
+        "goodput_grows",
+        rows.windows(2).all(|w| w[1].1 > w[0].1),
+        "monotone in message size".to_string(),
+    );
+    let at256 = rows.last().unwrap().1;
+    r.check("goodput_4_5mbps_at_256B", (at256 - 4.5).abs() < 0.3, format!("{at256:.2} Mbps"));
+    out.blank();
+    out.say("(b) counter-pull latency");
+    let rows = ex::fig16_counter_pull(counts);
+    let t = Table::new(&mut out, &["counters", "one-by-one s", "batch s"], &[9, 13, 9]);
+    for &(n, single, batch) in &rows {
+        t.row(&mut out, &[n.to_string(), format!("{single:.4}"), format!("{batch:.4}")]);
     }
-    fn weight(&self) -> u32 {
-        3
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let (sizes, counts): (&[usize], &[usize]) = match scale {
-            Scale::Full => (&[16, 32, 64, 128, 256], &[16, 256, 4096, 16384, 65536]),
-            Scale::Smoke => (&[16, 64, 256], &[16, 4096, 65536]),
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 16 — statistic collection");
-        out.say("(paper: goodput grows with message size to ≈4.5 Mbps @256 B;");
-        out.say(" batch pull reads 65536 counters in ≈0.2 s, far ahead of one-by-one)");
-        out.blank();
-        out.say("(a) digest goodput vs message size");
-        let rows = ex::fig16_digest_goodput(sizes);
-        let t = Table::new(&mut out, &["msg bytes", "goodput Mbps"], &[9, 13]);
-        for &(s, g) in &rows {
-            t.row(&mut out, &[s.to_string(), format!("{g:.2}")]);
-        }
-        r.check(
-            "goodput_grows",
-            rows.windows(2).all(|w| w[1].1 > w[0].1),
-            "monotone in message size".to_string(),
-        );
-        let at256 = rows.last().unwrap().1;
-        r.check("goodput_4_5mbps_at_256B", (at256 - 4.5).abs() < 0.3, format!("{at256:.2} Mbps"));
-        out.blank();
-        out.say("(b) counter-pull latency");
-        let rows = ex::fig16_counter_pull(counts);
-        let t = Table::new(&mut out, &["counters", "one-by-one s", "batch s"], &[9, 13, 9]);
-        for &(n, single, batch) in &rows {
-            t.row(&mut out, &[n.to_string(), format!("{single:.4}"), format!("{batch:.4}")]);
-        }
-        let (_, single64k, batch64k) = rows[rows.len() - 1];
-        r.check("batch_64k_0_2s", (batch64k - 0.2).abs() < 0.02, format!("{batch64k:.4} s"));
-        r.check(
-            "batching_dominates",
-            single64k > 8.0 * batch64k,
-            format!("{single64k:.2} vs {batch64k:.4} s"),
-        );
-        out.blank();
-        out.say("Fig. 16 shapes reproduced");
-        r.lines = out.into_lines();
-        r
-    }
+    let (_, single64k, batch64k) = rows[rows.len() - 1];
+    r.check("batch_64k_0_2s", (batch64k - 0.2).abs() < 0.02, format!("{batch64k:.4} s"));
+    r.check(
+        "batching_dominates",
+        single64k > 8.0 * batch64k,
+        format!("{single64k:.2} vs {batch64k:.4} s"),
+    );
+    out.blank();
+    out.say("Fig. 16 shapes reproduced");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 17
-
-/// Fig. 17 — exact-key-matching table size.
-///
-/// Sharded: the suite's heaviest job splits into independent
-/// `(digest/array config × flow count)` sub-jobs the scheduler balances
-/// across workers; [`Experiment::merge`] reassembles the figure from the
-/// integer per-shard totals, so the output is byte-identical to the old
-/// monolithic run at any worker count.
-pub struct Fig17ExactMatch;
 
 /// The Fig. 17 sweep parameters at a scale.
 fn fig17_params(scale: Scale) -> (&'static [usize], u64) {
@@ -654,700 +618,545 @@ fn fig17_params(scale: Scale) -> (&'static [usize], u64) {
     }
 }
 
-/// One `(config × flow count)` slice of the Fig. 17 sweep.
-struct Fig17Shard {
-    flows: usize,
-    digest_bits: u32,
-    array_bits: u32,
-    trials: u64,
+/// Fig. 17 — exact-key-matching table size, split into independent
+/// `(digest/array config × flow count)` parts the scheduler balances
+/// across workers (the suite's heaviest job); [`fig17_merge`] reassembles
+/// the figure from the integer per-part totals, so the output is
+/// byte-identical at any worker count.
+fn fig17_parts(cx: RunCx) -> Vec<Part> {
+    let (flows, trials) = fig17_params(cx.scale);
+    // (a) then (b): the per-flow sweeps at both digest widths.
+    let mut configs: Vec<(usize, u32, u32)> =
+        [16u32, 32].iter().flat_map(|&d| flows.iter().map(move |&n| (n, d, 16))).collect();
+    // (c) the array-size sweep at 2M flows (full scale only); the 2^16
+    // point reuses the (a) 2M part: same config, same seeds.
+    if cx.scale == Scale::Full {
+        configs.extend([(2_000_000, 16, 15), (2_000_000, 16, 14)]);
+    }
+    configs
+        .into_iter()
+        .map(|(flows, digest_bits, array_bits)| Part {
+            label: format!("d{digest_bits}/a{array_bits}/{}k", flows / 1000),
+            // Precompute cost is linear in the key count.
+            weight: (flows / 10_000).max(1) as u32,
+            run: Box::new(move |_cx| {
+                let keys0 = ht_asic::sim::metrics::thread_fp_keys();
+                let (total, max) = ex::fig17_totals(flows, digest_bits, array_bits, trials);
+                let keys = ht_asic::sim::metrics::thread_fp_keys() - keys0;
+                let mut r = RunOutput::default();
+                r.extras.push(("flows".into(), flows.to_string()));
+                r.extras.push(("total".into(), total.to_string()));
+                r.extras.push(("max".into(), max.to_string()));
+                r.extras.push(("keys".into(), keys.to_string()));
+                r
+            }),
+        })
+        .collect()
 }
 
-impl Shard for Fig17Shard {
-    fn label(&self) -> String {
-        format!("d{}/a{}/{}k", self.digest_bits, self.array_bits, self.flows / 1000)
+/// Reassembles Fig. 17 from the [`fig17_parts`] outputs, in part order.
+fn fig17_merge(cx: RunCx, parts: Vec<RunOutput>) -> RunOutput {
+    fn extra(p: &RunOutput, key: &str) -> u64 {
+        p.extras
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.parse().ok())
+            .expect("part extra")
     }
-    fn weight(&self) -> u32 {
-        // Precompute cost is linear in the key count.
-        (self.flows / 10_000).max(1) as u32
-    }
-    fn run(&self, _scale: Scale) -> RunOutput {
-        let keys0 = ht_asic::sim::metrics::thread_fp_keys();
-        let (total, max) =
-            ex::fig17_totals(self.flows, self.digest_bits, self.array_bits, self.trials);
-        let keys = ht_asic::sim::metrics::thread_fp_keys() - keys0;
-        let mut r = RunOutput::default();
-        r.extras.push(("flows".into(), self.flows.to_string()));
-        r.extras.push(("total".into(), total.to_string()));
-        r.extras.push(("max".into(), max.to_string()));
-        r.extras.push(("keys".into(), keys.to_string()));
-        r
-    }
-}
+    let (flows, trials) = fig17_params(cx.scale);
+    let full = cx.scale == Scale::Full;
+    // `exact_entry_bits` only depends on the key width, so one config
+    // serves both digest widths.
+    let cfg = ht_ntapi::fp::HashConfig { array_bits: 16, digest_bits: 16 };
+    // Shards transport exact integers (total/max), so the mean and
+    // memory reconstruction here performs the same float ops on the
+    // same values as the monolithic code did.
+    let row = |p: &RunOutput| {
+        let n = extra(p, "flows") as usize;
+        let mean = extra(p, "total") as f64 / trials as f64;
+        let max = extra(p, "max") as usize;
+        let kb = mean * cfg.exact_entry_bits(2) as f64 / 8.0 / 1024.0;
+        (n, mean, max, kb)
+    };
+    let k = flows.len();
+    let rows16: Vec<(usize, f64, usize, f64)> = parts[..k].iter().map(row).collect();
+    let rows32: Vec<(usize, f64, usize, f64)> = parts[k..2 * k].iter().map(row).collect();
 
-impl Experiment for Fig17ExactMatch {
-    fn name(&self) -> &'static str {
-        "fig17_exact_match"
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 17 — exact-key-matching entries vs #flows"
-    }
-    fn weight(&self) -> u32 {
-        10
-    }
-    fn shards(&self, scale: Scale) -> Vec<Box<dyn Shard>> {
-        let (flows, trials) = fig17_params(scale);
-        let mut shards: Vec<Box<dyn Shard>> = Vec::new();
-        // (a) then (b): the per-flow sweeps at both digest widths.
-        for digest_bits in [16u32, 32] {
-            for &n in flows {
-                shards.push(Box::new(Fig17Shard { flows: n, digest_bits, array_bits: 16, trials }));
-            }
-        }
-        // (c) the array-size sweep at 2M flows (full scale only); the
-        // 2^16 point reuses the (a) 2M shard — same config, same seeds.
-        if scale == Scale::Full {
-            for array_bits in [15u32, 14] {
-                shards.push(Box::new(Fig17Shard {
-                    flows: 2_000_000,
-                    digest_bits: 16,
-                    array_bits,
-                    trials,
-                }));
-            }
-        }
-        shards
-    }
-    fn merge(&self, scale: Scale, parts: Vec<RunOutput>) -> RunOutput {
-        fn extra(p: &RunOutput, key: &str) -> u64 {
-            p.extras
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.parse().ok())
-                .expect("shard extra")
-        }
-        let (flows, trials) = fig17_params(scale);
-        let full = scale == Scale::Full;
-        // `exact_entry_bits` only depends on the key width, so one config
-        // serves both digest widths.
-        let cfg = ht_ntapi::fp::HashConfig { array_bits: 16, digest_bits: 16 };
-        // Shards transport exact integers (total/max), so the mean and
-        // memory reconstruction here performs the same float ops on the
-        // same values as the monolithic code did.
-        let row = |p: &RunOutput| {
-            let n = extra(p, "flows") as usize;
-            let mean = extra(p, "total") as f64 / trials as f64;
-            let max = extra(p, "max") as usize;
-            let kb = mean * cfg.exact_entry_bits(2) as f64 / 8.0 / 1024.0;
-            (n, mean, max, kb)
-        };
-        let k = flows.len();
-        let rows16: Vec<(usize, f64, usize, f64)> = parts[..k].iter().map(row).collect();
-        let rows32: Vec<(usize, f64, usize, f64)> = parts[k..2 * k].iter().map(row).collect();
-
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 17 — exact-key-matching entries vs #distinct flows");
-        out.say("(paper: ≤3000 entries @2M flows with 16-bit digests; 32-bit ≪ 16-bit)");
-        out.blank();
-        out.say("(a) 16-bit digests (array 2^16)");
-        let t = Table::new(&mut out, &["flows", "mean entries", "max", "mem KB"], &[9, 13, 6, 8]);
-        for &(n, mean, max, kb) in &rows16 {
-            t.row(
-                &mut out,
-                &[n.to_string(), format!("{mean:.1}"), max.to_string(), format!("{kb:.1}")],
-            );
-        }
-        if full {
-            let two_m = rows16.last().unwrap();
-            r.check("entries_2m_under_3000", two_m.2 <= 3000, format!("{} entries", two_m.2));
-        }
-        out.blank();
-        out.say("(b) 32-bit digests (array 2^16)");
-        let t = Table::new(&mut out, &["flows", "mean entries", "max", "mem KB"], &[9, 13, 6, 8]);
-        for &(n, mean, max, kb) in &rows32 {
-            t.row(
-                &mut out,
-                &[n.to_string(), format!("{mean:.1}"), max.to_string(), format!("{kb:.1}")],
-            );
-        }
-        let r16 = rows16.last().unwrap().1;
-        let r32 = rows32.last().unwrap().1;
-        r.check(
-            "32bit_slashes_entries",
-            r32 < r16 / 10.0 + 1.0,
-            format!("{r32:.1} vs {r16:.1} mean entries"),
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 17 — exact-key-matching entries vs #distinct flows");
+    out.say("(paper: ≤3000 entries @2M flows with 16-bit digests; 32-bit ≪ 16-bit)");
+    out.blank();
+    out.say("(a) 16-bit digests (array 2^16)");
+    let t = Table::new(&mut out, &["flows", "mean entries", "max", "mem KB"], &[9, 13, 6, 8]);
+    for &(n, mean, max, kb) in &rows16 {
+        t.row(
+            &mut out,
+            &[n.to_string(), format!("{mean:.1}"), max.to_string(), format!("{kb:.1}")],
         );
-        if full {
-            out.blank();
-            out.say("(c) effect of the hashing array size (2M flows, 16-bit digests)");
-            let t = Table::new(&mut out, &["array", "mean entries", "max"], &[6, 13, 6]);
-            let c_rows = [
-                (16u32, *rows16.last().unwrap()),
-                (15, row(&parts[2 * k])),
-                (14, row(&parts[2 * k + 1])),
-            ];
-            let mut prev: Option<f64> = None;
-            for (array_bits, row) in c_rows {
-                t.row(
-                    &mut out,
-                    &[format!("2^{array_bits}"), format!("{:.1}", row.1), row.2.to_string()],
+    }
+    if full {
+        let two_m = rows16.last().unwrap();
+        r.check("entries_2m_under_3000", two_m.2 <= 3000, format!("{} entries", two_m.2));
+    }
+    out.blank();
+    out.say("(b) 32-bit digests (array 2^16)");
+    let t = Table::new(&mut out, &["flows", "mean entries", "max", "mem KB"], &[9, 13, 6, 8]);
+    for &(n, mean, max, kb) in &rows32 {
+        t.row(
+            &mut out,
+            &[n.to_string(), format!("{mean:.1}"), max.to_string(), format!("{kb:.1}")],
+        );
+    }
+    let r16 = rows16.last().unwrap().1;
+    let r32 = rows32.last().unwrap().1;
+    r.check(
+        "32bit_slashes_entries",
+        r32 < r16 / 10.0 + 1.0,
+        format!("{r32:.1} vs {r16:.1} mean entries"),
+    );
+    if full {
+        out.blank();
+        out.say("(c) effect of the hashing array size (2M flows, 16-bit digests)");
+        let t = Table::new(&mut out, &["array", "mean entries", "max"], &[6, 13, 6]);
+        let c_rows = [
+            (16u32, *rows16.last().unwrap()),
+            (15, row(&parts[2 * k])),
+            (14, row(&parts[2 * k + 1])),
+        ];
+        let mut prev: Option<f64> = None;
+        for (array_bits, row) in c_rows {
+            t.row(
+                &mut out,
+                &[format!("2^{array_bits}"), format!("{:.1}", row.1), row.2.to_string()],
+            );
+            // Smaller arrays → more bucket overlap → more diverted keys.
+            if let Some(p) = prev {
+                r.check(
+                    &format!("entries_grow_at_2pow{array_bits}"),
+                    row.1 > p,
+                    format!("{:.1} vs {p:.1}", row.1),
                 );
-                // Smaller arrays → more bucket overlap → more diverted keys.
-                if let Some(p) = prev {
-                    r.check(
-                        &format!("entries_grow_at_2pow{array_bits}"),
-                        row.1 > p,
-                        format!("{:.1} vs {p:.1}", row.1),
-                    );
-                }
-                prev = Some(row.1);
-                // The paper's bound holds for the arrays it plots; the
-                // smallest array in the sweep is beyond them.
-                if array_bits >= 15 {
-                    r.check(
-                        &format!("paper_bound_at_2pow{array_bits}"),
-                        row.2 <= 3000,
-                        format!("{} entries", row.2),
-                    );
-                }
+            }
+            prev = Some(row.1);
+            // The paper's bound holds for the arrays it plots; the
+            // smallest array in the sweep is beyond them.
+            if array_bits >= 15 {
+                r.check(
+                    &format!("paper_bound_at_2pow{array_bits}"),
+                    row.2 <= 3000,
+                    format!("{} entries", row.2),
+                );
             }
         }
-        out.blank();
-        out.say("small exact-match tables suffice; wider digests shrink them further");
-        let fp_keys: u64 = parts.iter().map(|p| extra(p, "keys")).sum();
-        r.extras.push(("fp_keys_hashed".into(), fp_keys.to_string()));
-        r.lines = out.into_lines();
-        r
     }
+    out.blank();
+    out.say("small exact-match tables suffice; wider digests shrink them further");
+    let fp_keys: u64 = parts.iter().map(|p| extra(p, "keys")).sum();
+    r.extras.push(("fp_keys_hashed".into(), fp_keys.to_string()));
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Table 6
 
 /// Table 6 — cost per Tbps.
-pub struct Table6Cost;
-
-impl Experiment for Table6Cost {
-    fn name(&self) -> &'static str {
-        "table6_cost"
-    }
-    fn title(&self) -> &'static str {
-        "Table 6 — power and equipment cost per Tbps"
-    }
-    fn run(&self, _scale: Scale) -> RunOutput {
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Table 6 — power and equipment cost comparison");
-        out.say("(paper: MoonGen $42000 / 7200 W per Tbps; HyperTester $3600 / 150 W;");
-        out.say(" saving $38400 and ~7150 W per Tbps)");
-        out.blank();
-        // The server throughput comes from the Fig. 10(b) measurement:
-        // 8 cores at ~10 Gbps L1 each.
-        let cfg = MoonGenConfig { cores: 8, ..Default::default() };
-        let server_gbps = 8.0 * l1_rate_bps(64, core_pps(&cfg)) / 1e9;
-        let c = CostModel::default().compare(server_gbps);
-        let t =
-            Table::new(&mut out, &["Metric (per Tbps)", "MoonGen", "HyperTester"], &[20, 10, 12]);
-        t.row(
-            &mut out,
-            &[
-                "Equipment Cost".into(),
-                format!("${:.0}", c.moongen_cost_per_tbps),
-                format!("${:.0}", c.hypertester_cost_per_tbps),
-            ],
-        );
-        t.row(
-            &mut out,
-            &[
-                "Power Cost".into(),
-                format!("{:.0} W", c.moongen_power_per_tbps),
-                format!("{:.0} W", c.hypertester_power_per_tbps),
-            ],
-        );
-        out.blank();
-        out.say(format!("saving: ${:.0} and {:.0} W per Tbps", c.cost_saving, c.power_saving));
-        out.say(format!(
-            "a 6.5 Tbps switch replaces {:.0} 8-core servers (paper: 81)",
-            c.servers_replaced
-        ));
-        r.check("cost_saving", c.cost_saving > 38_000.0, format!("${:.0}", c.cost_saving));
-        r.check("power_saving", c.power_saving > 7_000.0, format!("{:.0} W", c.power_saving));
-        r.check(
-            "servers_replaced_81",
-            (c.servers_replaced - 81.0).abs() < 1.0,
-            format!("{:.0}", c.servers_replaced),
-        );
-        r.lines = out.into_lines();
-        r
-    }
+fn table6_cost(_cx: RunCx) -> RunOutput {
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Table 6 — power and equipment cost comparison");
+    out.say("(paper: MoonGen $42000 / 7200 W per Tbps; HyperTester $3600 / 150 W;");
+    out.say(" saving $38400 and ~7150 W per Tbps)");
+    out.blank();
+    // The server throughput comes from the Fig. 10(b) measurement:
+    // 8 cores at ~10 Gbps L1 each.
+    let cfg = MoonGenConfig { cores: 8, ..Default::default() };
+    let server_gbps = 8.0 * l1_rate_bps(64, core_pps(&cfg)) / 1e9;
+    let c = CostModel::default().compare(server_gbps);
+    let t = Table::new(&mut out, &["Metric (per Tbps)", "MoonGen", "HyperTester"], &[20, 10, 12]);
+    t.row(
+        &mut out,
+        &[
+            "Equipment Cost".into(),
+            format!("${:.0}", c.moongen_cost_per_tbps),
+            format!("${:.0}", c.hypertester_cost_per_tbps),
+        ],
+    );
+    t.row(
+        &mut out,
+        &[
+            "Power Cost".into(),
+            format!("{:.0} W", c.moongen_power_per_tbps),
+            format!("{:.0} W", c.hypertester_power_per_tbps),
+        ],
+    );
+    out.blank();
+    out.say(format!("saving: ${:.0} and {:.0} W per Tbps", c.cost_saving, c.power_saving));
+    out.say(format!(
+        "a 6.5 Tbps switch replaces {:.0} 8-core servers (paper: 81)",
+        c.servers_replaced
+    ));
+    r.check("cost_saving", c.cost_saving > 38_000.0, format!("${:.0}", c.cost_saving));
+    r.check("power_saving", c.power_saving > 7_000.0, format!("{:.0} W", c.power_saving));
+    r.check(
+        "servers_replaced_81",
+        (c.servers_replaced - 81.0).abs() < 1.0,
+        format!("{:.0}", c.servers_replaced),
+    );
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Table 7
 
 /// Table 7 — data-plane resources per component.
-pub struct Table7Resources;
-
-impl Experiment for Table7Resources {
-    fn name(&self) -> &'static str {
-        "table7_resources"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Table 7 — data-plane resources per component"
-    }
-    fn weight(&self) -> u32 {
-        2
-    }
-    fn run(&self, _scale: Scale) -> RunOutput {
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Table 7 — data-plane resources per component, normalized by switch.p4 (%)");
-        out.say("(paper shape: triggers cheap, <3% everywhere; distinct/reduce moderate,");
-        out.say(" with large normalized SALU shares because switch.p4 uses few SALUs)");
-        out.blank();
-        let t = Table::new(
+fn table7_resources(cx: RunCx) -> RunOutput {
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Table 7 — data-plane resources per component, normalized by switch.p4 (%)");
+    out.say("(paper shape: triggers cheap, <3% everywhere; distinct/reduce moderate,");
+    out.say(" with large normalized SALU shares because switch.p4 uses few SALUs)");
+    out.blank();
+    let t = Table::new(
+        &mut out,
+        &["Component", "Xbar", "SRAM", "TCAM", "VLIW", "Hash", "SALU", "Gateway"],
+        &[28, 6, 6, 6, 6, 6, 6, 8],
+    );
+    let pct = |v: f64| format!("{:.2}", v * 100.0);
+    let rows = table7_rows(cx.exec);
+    for row in &rows {
+        let n = row.normalized;
+        t.row(
             &mut out,
-            &["Component", "Xbar", "SRAM", "TCAM", "VLIW", "Hash", "SALU", "Gateway"],
-            &[28, 6, 6, 6, 6, 6, 6, 8],
+            &[
+                row.component.to_string(),
+                pct(n.crossbar),
+                pct(n.sram),
+                pct(n.tcam),
+                pct(n.vliw),
+                pct(n.hash_bits),
+                pct(n.salu),
+                pct(n.gateway),
+            ],
         );
-        let pct = |v: f64| format!("{:.2}", v * 100.0);
-        let rows = table7_rows();
-        for row in &rows {
-            let n = row.normalized;
-            t.row(
-                &mut out,
-                &[
-                    row.component.to_string(),
-                    pct(n.crossbar),
-                    pct(n.sram),
-                    pct(n.tcam),
-                    pct(n.vliw),
-                    pct(n.hash_bits),
-                    pct(n.salu),
-                    pct(n.gateway),
-                ],
-            );
-        }
-        // Shape assertions against the paper's table.
-        let by_name = |n: &str| rows.iter().find(|r| r.component == n).unwrap().normalized;
-        let accel = by_name("accelerator");
-        r.check(
-            "accelerator_under_2pct",
-            accel.sram < 0.02 && accel.crossbar < 0.02,
-            format!("sram {:.3}, xbar {:.3}", accel.sram, accel.crossbar),
-        );
-        let distinct = by_name("distinct(keys={5-tuple})");
-        let reduce = by_name("reduce(keys={ipv4.dip},sum)");
-        // Queries dominate SALU usage relative to the stateless switch.p4
-        // (paper: 33.4 % / 44.5 %).
-        r.check(
-            "distinct_salu_share",
-            distinct.salu > 0.25 && distinct.salu < 0.6,
-            format!("{:.3}", distinct.salu),
-        );
-        r.check(
-            "reduce_salu_share",
-            reduce.salu > 0.25 && reduce.salu < 0.6,
-            format!("{:.3}", reduce.salu),
-        );
-        r.check(
-            "distinct_sram_moderate",
-            distinct.sram > 0.03 && distinct.sram < 0.4,
-            format!("{:.3}", distinct.sram),
-        );
-        let filter = by_name("filter(tcp.flag==SYN)");
-        r.check(
-            "filter_gateway_only",
-            filter.sram < 0.01 && filter.gateway > 0.0,
-            format!("sram {:.4}, gateway {:.4}", filter.sram, filter.gateway),
-        );
-        out.blank();
-        out.say("trigger components tiny, query components moderate, SALU-heavy");
-        r.lines = out.into_lines();
-        r
     }
+    // Shape assertions against the paper's table.
+    let by_name = |n: &str| rows.iter().find(|r| r.component == n).unwrap().normalized;
+    let accel = by_name("accelerator");
+    r.check(
+        "accelerator_under_2pct",
+        accel.sram < 0.02 && accel.crossbar < 0.02,
+        format!("sram {:.3}, xbar {:.3}", accel.sram, accel.crossbar),
+    );
+    let distinct = by_name("distinct(keys={5-tuple})");
+    let reduce = by_name("reduce(keys={ipv4.dip},sum)");
+    // Queries dominate SALU usage relative to the stateless switch.p4
+    // (paper: 33.4 % / 44.5 %).
+    r.check(
+        "distinct_salu_share",
+        distinct.salu > 0.25 && distinct.salu < 0.6,
+        format!("{:.3}", distinct.salu),
+    );
+    r.check(
+        "reduce_salu_share",
+        reduce.salu > 0.25 && reduce.salu < 0.6,
+        format!("{:.3}", reduce.salu),
+    );
+    r.check(
+        "distinct_sram_moderate",
+        distinct.sram > 0.03 && distinct.sram < 0.4,
+        format!("{:.3}", distinct.sram),
+    );
+    let filter = by_name("filter(tcp.flag==SYN)");
+    r.check(
+        "filter_gateway_only",
+        filter.sram < 0.01 && filter.gateway > 0.0,
+        format!("sram {:.4}, gateway {:.4}", filter.sram, filter.gateway),
+    );
+    out.blank();
+    out.say("trigger components tiny, query components moderate, SALU-heavy");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Fig. 18
 
 /// Fig. 18 — the delay-testing case study.
-pub struct Fig18DelayCase;
+fn fig18_delay_case(cx: RunCx) -> RunOutput {
+    let probes = match cx.scale {
+        Scale::Full => 800,
+        Scale::Smoke => 200,
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Fig. 18 — delay testing of a DUT with 600 ns forwarding delay");
+    out.blank();
+    out.say("(a) timestamp-based methods");
+    let (truth, points) = ex::fig18_delay(cx.exec, 600_000, probes);
+    out.say(format!("wire-level true delay: {truth:.0} ns (pipeline + serialization)"));
+    out.blank();
+    let t = Table::new(&mut out, &["method", "mean ns", "p50 ns", "stddev ns"], &[22, 9, 9, 10]);
+    for p in &points {
+        t.row(
+            &mut out,
+            &[
+                p.method.to_string(),
+                format!("{:.0}", p.mean_ns),
+                format!("{:.0}", p.p50_ns),
+                format!("{:.1}", p.stddev_ns),
+            ],
+        );
+    }
+    let hw = points[0].mean_ns - truth;
+    let ht_sw = points[1].mean_ns - truth;
+    let mg_sw = points[2].mean_ns - truth;
+    out.blank();
+    out.say(format!(
+        "measurement inflation over truth: HW +{hw:.0} ns, HT-SW +{ht_sw:.0} ns, MG-SW +{mg_sw:.0} ns"
+    ));
+    r.check(
+        "ordering_hw_htsw_mgsw",
+        points[0].mean_ns < points[1].mean_ns && points[1].mean_ns < points[2].mean_ns,
+        format!(
+            "{:.0} < {:.0} < {:.0} ns",
+            points[0].mean_ns, points[1].mean_ns, points[2].mean_ns
+        ),
+    );
+    r.check(
+        "mg_sw_deviates_3x",
+        mg_sw > 3.0 * (hw + ht_sw),
+        format!("+{mg_sw:.0} vs 3x(+{hw:.0} +{ht_sw:.0}) ns"),
+    );
 
-impl Experiment for Fig18DelayCase {
-    fn name(&self) -> &'static str {
-        "fig18_delay_case"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Fig. 18 — delay-testing case study"
-    }
-    fn weight(&self) -> u32 {
-        4
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let probes = match scale {
-            Scale::Full => 800,
-            Scale::Smoke => 200,
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Fig. 18 — delay testing of a DUT with 600 ns forwarding delay");
-        out.blank();
-        out.say("(a) timestamp-based methods");
-        let (truth, points) = ex::fig18_delay(600_000, probes);
-        out.say(format!("wire-level true delay: {truth:.0} ns (pipeline + serialization)"));
-        out.blank();
-        let t =
-            Table::new(&mut out, &["method", "mean ns", "p50 ns", "stddev ns"], &[22, 9, 9, 10]);
-        for p in &points {
-            t.row(
-                &mut out,
-                &[
-                    p.method.to_string(),
-                    format!("{:.0}", p.mean_ns),
-                    format!("{:.0}", p.p50_ns),
-                    format!("{:.1}", p.stddev_ns),
-                ],
-            );
-        }
-        let hw = points[0].mean_ns - truth;
-        let ht_sw = points[1].mean_ns - truth;
-        let mg_sw = points[2].mean_ns - truth;
-        out.blank();
-        out.say(format!(
-            "measurement inflation over truth: HW +{hw:.0} ns, HT-SW +{ht_sw:.0} ns, MG-SW +{mg_sw:.0} ns"
-        ));
-        r.check(
-            "ordering_hw_htsw_mgsw",
-            points[0].mean_ns < points[1].mean_ns && points[1].mean_ns < points[2].mean_ns,
-            format!(
-                "{:.0} < {:.0} < {:.0} ns",
-                points[0].mean_ns, points[1].mean_ns, points[2].mean_ns
-            ),
-        );
-        r.check(
-            "mg_sw_deviates_3x",
-            mg_sw > 3.0 * (hw + ht_sw),
-            format!("+{mg_sw:.0} vs 3x(+{hw:.0} +{ht_sw:.0}) ns"),
-        );
-
-        // (b) state-based delay testing: timestamps stored in a data-plane
-        // register keyed by the probe id, delay computed on return.
-        out.blank();
-        out.say("(b) state-based method (register-stored timestamps)");
-        let (mean, stddev, n) = ex::fig18_state_based(600_000, probes);
-        out.say(format!(
-            "  HT state-based: {n} probes, mean {mean:.0} ns (incl. fixed tester offsets), stddev {stddev:.1} ns"
-        ));
-        let min_probes = probes * 5 / 8;
-        r.check("enough_probes_returned", n > min_probes, format!("{n} of {probes}"));
-        r.check("state_based_precise", stddev < 60.0, format!("stddev {stddev:.1} ns"));
-        r.check(
-            "beats_mg_sw_10x",
-            stddev < points[2].stddev_ns / 10.0,
-            format!("{stddev:.1} vs {:.1} ns", points[2].stddev_ns),
-        );
-        out.blank();
-        out.say("HW best, HyperTester-SW close, MoonGen-SW off by >3x;");
-        out.say("state-based precision matches timestamp-based (Fig. 18b)");
-        r.lines = out.into_lines();
-        r
-    }
+    // (b) state-based delay testing: timestamps stored in a data-plane
+    // register keyed by the probe id, delay computed on return.
+    out.blank();
+    out.say("(b) state-based method (register-stored timestamps)");
+    let (mean, stddev, n) = ex::fig18_state_based(cx.exec, 600_000, probes);
+    out.say(format!(
+        "  HT state-based: {n} probes, mean {mean:.0} ns (incl. fixed tester offsets), stddev {stddev:.1} ns"
+    ));
+    let min_probes = probes * 5 / 8;
+    r.check("enough_probes_returned", n > min_probes, format!("{n} of {probes}"));
+    r.check("state_based_precise", stddev < 60.0, format!("stddev {stddev:.1} ns"));
+    r.check(
+        "beats_mg_sw_10x",
+        stddev < points[2].stddev_ns / 10.0,
+        format!("{stddev:.1} vs {:.1} ns", points[2].stddev_ns),
+    );
+    out.blank();
+    out.say("HW best, HyperTester-SW close, MoonGen-SW off by >3x;");
+    out.say("state-based precision matches timestamp-based (Fig. 18b)");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------------- Table 8
 
 /// Table 8 — SYN-flood attack emulation.
-pub struct Table8Synflood;
-
-impl Experiment for Table8Synflood {
-    fn name(&self) -> &'static str {
-        "table8_synflood"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn title(&self) -> &'static str {
-        "Table 8 — SYN flood attack emulation"
-    }
-    fn weight(&self) -> u32 {
-        3
-    }
-    fn run(&self, _scale: Scale) -> RunOutput {
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Table 8 — SYN flood attack emulation");
-        out.say("(paper: testbed 400 Gbps / 595 Mpps / 4×10^5 agents;");
-        out.say(" 6.5 Tbps switch at 80%: 5.2 Tbps / 7737 Mpps / 5.2×10^6 agents)");
-        out.blank();
-        let s = ex::table8_synflood();
-        let t = Table::new(&mut out, &["Metric", "Testbed", "Estimation (80%)"], &[24, 12, 17]);
-        t.row(
-            &mut out,
-            &[
-                "Throughput".into(),
-                format!("{:.0} Gbps", s.testbed_gbps),
-                format!("{:.1} Tbps", s.est_tbps),
-            ],
-        );
-        t.row(
-            &mut out,
-            &[
-                "SYN Packets".into(),
-                format!("{:.0} Mpps", s.testbed_mpps),
-                format!("{:.0} Mpps", s.est_mpps),
-            ],
-        );
-        t.row(
-            &mut out,
-            &[
-                "# emulated attack agents".into(),
-                format!("{:.1e}", s.testbed_agents),
-                format!("{:.1e}", s.est_agents),
-            ],
-        );
-        r.check(
-            "testbed_400gbps",
-            (s.testbed_gbps - 400.0).abs() < 4.0,
+fn table8_synflood(cx: RunCx) -> RunOutput {
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Table 8 — SYN flood attack emulation");
+    out.say("(paper: testbed 400 Gbps / 595 Mpps / 4×10^5 agents;");
+    out.say(" 6.5 Tbps switch at 80%: 5.2 Tbps / 7737 Mpps / 5.2×10^6 agents)");
+    out.blank();
+    let s = ex::table8_synflood(cx.exec);
+    let t = Table::new(&mut out, &["Metric", "Testbed", "Estimation (80%)"], &[24, 12, 17]);
+    t.row(
+        &mut out,
+        &[
+            "Throughput".into(),
             format!("{:.0} Gbps", s.testbed_gbps),
-        );
-        r.check(
-            "testbed_595mpps",
-            (s.testbed_mpps - 595.0).abs() < 6.0,
+            format!("{:.1} Tbps", s.est_tbps),
+        ],
+    );
+    t.row(
+        &mut out,
+        &[
+            "SYN Packets".into(),
             format!("{:.0} Mpps", s.testbed_mpps),
-        );
-        r.check("est_7738mpps", (s.est_mpps - 7738.0).abs() < 10.0, format!("{:.0}", s.est_mpps));
-        r.check(
-            "est_5_2m_agents",
-            (s.est_agents - 5.2e6).abs() < 1e5,
-            format!("{:.2e}", s.est_agents),
-        );
-        out.blank();
-        out.say("Table 8 reproduced (595 Mpps testbed, 5.2M estimated agents)");
-        r.lines = out.into_lines();
-        r
-    }
+            format!("{:.0} Mpps", s.est_mpps),
+        ],
+    );
+    t.row(
+        &mut out,
+        &[
+            "# emulated attack agents".into(),
+            format!("{:.1e}", s.testbed_agents),
+            format!("{:.1e}", s.est_agents),
+        ],
+    );
+    r.check(
+        "testbed_400gbps",
+        (s.testbed_gbps - 400.0).abs() < 4.0,
+        format!("{:.0} Gbps", s.testbed_gbps),
+    );
+    r.check(
+        "testbed_595mpps",
+        (s.testbed_mpps - 595.0).abs() < 6.0,
+        format!("{:.0} Mpps", s.testbed_mpps),
+    );
+    r.check("est_7738mpps", (s.est_mpps - 7738.0).abs() < 10.0, format!("{:.0}", s.est_mpps));
+    r.check("est_5_2m_agents", (s.est_agents - 5.2e6).abs() < 1e5, format!("{:.2e}", s.est_agents));
+    out.blank();
+    out.say("Table 8 reproduced (595 Mpps testbed, 5.2M estimated agents)");
+    r.lines = out.into_lines();
+    r
 }
 
 // ------------------------------------------------------- Ablations
 
 /// Ablation — query accuracy vs sketches.
-pub struct AblationAccuracy;
-
-impl Experiment for AblationAccuracy {
-    fn name(&self) -> &'static str {
-        "ablation_accuracy"
-    }
-    fn group(&self) -> &'static str {
-        "ablation"
-    }
-    fn title(&self) -> &'static str {
-        "Ablation — counter-based engine + exact matching vs sketches"
-    }
-    fn weight(&self) -> u32 {
-        6
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let keys = match scale {
-            Scale::Full => 30_000,
-            Scale::Smoke => 10_000,
-        };
-        let full = scale == Scale::Full;
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Ablation — query accuracy: counter-based + exact matching vs sketches");
-        out.say(format!(
-            "(workload: {keys} flows with skewed repetition; comparable memory budgets)"
-        ));
-        out.blank();
-        let rows = accuracy_ablation(keys, 12);
-        let t = Table::new(
+fn ablation_accuracy(cx: RunCx) -> RunOutput {
+    let keys = match cx.scale {
+        Scale::Full => 30_000,
+        Scale::Smoke => 10_000,
+    };
+    let full = cx.scale == Scale::Full;
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Ablation — query accuracy: counter-based + exact matching vs sketches");
+    out.say(format!("(workload: {keys} flows with skewed repetition; comparable memory budgets)"));
+    out.blank();
+    let rows = accuracy_ablation(keys, 12);
+    let t = Table::new(
+        &mut out,
+        &["structure", "exact keys", "mean rel err", "distinct est"],
+        &[32, 12, 13, 13],
+    );
+    for row in &rows {
+        t.row(
             &mut out,
-            &["structure", "exact keys", "mean rel err", "distinct est"],
-            &[32, 12, 13, 13],
+            &[
+                row.structure.to_string(),
+                format!("{}/{}", row.exact_keys, row.total_keys),
+                if row.mean_rel_error.is_nan() {
+                    "-".into()
+                } else {
+                    format!("{:.4}", row.mean_rel_error)
+                },
+                if row.distinct_estimate == 0 {
+                    "-".into()
+                } else {
+                    row.distinct_estimate.to_string()
+                },
+            ],
         );
-        for row in &rows {
-            t.row(
-                &mut out,
-                &[
-                    row.structure.to_string(),
-                    format!("{}/{}", row.exact_keys, row.total_keys),
-                    if row.mean_rel_error.is_nan() {
-                        "-".into()
-                    } else {
-                        format!("{:.4}", row.mean_rel_error)
-                    },
-                    if row.distinct_estimate == 0 {
-                        "-".into()
-                    } else {
-                        row.distinct_estimate.to_string()
-                    },
-                ],
-            );
-        }
-        let ht = &rows[0];
-        let cms = &rows[1];
-        let bloom = &rows[2];
-        r.check(
-            "ht_exact_every_key",
-            ht.exact_keys == ht.total_keys,
-            format!("{}/{}", ht.exact_keys, ht.total_keys),
-        );
-        r.check("ht_zero_error", ht.mean_rel_error == 0.0, format!("{}", ht.mean_rel_error));
-        r.check(
-            "ht_distinct_exact",
-            ht.distinct_estimate as usize == ht.total_keys,
-            format!("{} of {}", ht.distinct_estimate, ht.total_keys),
-        );
-        if full {
-            r.check(
-                "cms_errs_under_load",
-                cms.exact_keys < cms.total_keys && cms.mean_rel_error > 0.05,
-                format!(
-                    "{}/{} exact, err {:.4}",
-                    cms.exact_keys, cms.total_keys, cms.mean_rel_error
-                ),
-            );
-            r.check(
-                "bloom_undercounts",
-                (bloom.distinct_estimate as usize) < bloom.total_keys,
-                format!("{} vs {}", bloom.distinct_estimate, bloom.total_keys),
-            );
-        }
-        out.blank();
-        out.say("only the paper's design is exact; both sketches err on this workload");
-        r.lines = out.into_lines();
-        r
     }
+    let ht = &rows[0];
+    let cms = &rows[1];
+    let bloom = &rows[2];
+    r.check(
+        "ht_exact_every_key",
+        ht.exact_keys == ht.total_keys,
+        format!("{}/{}", ht.exact_keys, ht.total_keys),
+    );
+    r.check("ht_zero_error", ht.mean_rel_error == 0.0, format!("{}", ht.mean_rel_error));
+    r.check(
+        "ht_distinct_exact",
+        ht.distinct_estimate as usize == ht.total_keys,
+        format!("{} of {}", ht.distinct_estimate, ht.total_keys),
+    );
+    if full {
+        r.check(
+            "cms_errs_under_load",
+            cms.exact_keys < cms.total_keys && cms.mean_rel_error > 0.05,
+            format!("{}/{} exact, err {:.4}", cms.exact_keys, cms.total_keys, cms.mean_rel_error),
+        );
+        r.check(
+            "bloom_undercounts",
+            (bloom.distinct_estimate as usize) < bloom.total_keys,
+            format!("{} vs {}", bloom.distinct_estimate, bloom.total_keys),
+        );
+    }
+    out.blank();
+    out.say("only the paper's design is exact; both sketches err on this workload");
+    r.lines = out.into_lines();
+    r
 }
 
 /// Ablation — rate precision vs circulating template copies.
-pub struct AblationPrecision;
-
-impl Experiment for AblationPrecision {
-    fn name(&self) -> &'static str {
-        "ablation_precision"
-    }
-    fn analysis_facts(&self) -> bool {
-        true
-    }
-    fn group(&self) -> &'static str {
-        "ablation"
-    }
-    fn title(&self) -> &'static str {
-        "Ablation — rate-control precision vs accelerator occupancy"
-    }
-    fn weight(&self) -> u32 {
-        5
-    }
-    fn run(&self, scale: Scale) -> RunOutput {
-        let copies_sweep: &[usize] = match scale {
-            Scale::Full => &[1, 4, 16, 89],
-            Scale::Smoke => &[1, 89],
-        };
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Ablation — rate-control precision vs circulating template copies");
-        out.say("(1 Mpps of 64 B frames at 100G; quantum = 570 ns / copies)");
-        out.blank();
-        let t =
-            Table::new(&mut out, &["copies", "quantum ns", "MAE ns", "RMSE ns"], &[7, 11, 8, 8]);
-        let mut maes = Vec::new();
-        for &copies in copies_sweep {
-            let p = ex::ht_rate_control_with_copies(1_000_000, 64, gbps(100), copies);
-            let quantum = 570.0 / copies as f64;
-            t.row(
-                &mut out,
-                &[
-                    copies.to_string(),
-                    format!("{quantum:.1}"),
-                    format!("{:.2}", p.metrics.mae),
-                    format!("{:.2}", p.metrics.rmse),
-                ],
-            );
-            maes.push(p.metrics.mae);
-        }
-        // Error must fall monotonically with more copies, by roughly the
-        // quantum ratio.
-        r.check(
-            "mae_monotone_in_copies",
-            maes.windows(2).all(|w| w[1] < w[0]),
-            format!("{maes:?}"),
+fn ablation_precision(cx: RunCx) -> RunOutput {
+    let copies_sweep: &[usize] = match cx.scale {
+        Scale::Full => &[1, 4, 16, 89],
+        Scale::Smoke => &[1, 89],
+    };
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Ablation — rate-control precision vs circulating template copies");
+    out.say("(1 Mpps of 64 B frames at 100G; quantum = 570 ns / copies)");
+    out.blank();
+    let t = Table::new(&mut out, &["copies", "quantum ns", "MAE ns", "RMSE ns"], &[7, 11, 8, 8]);
+    let mut maes = Vec::new();
+    for &copies in copies_sweep {
+        let p = ex::ht_rate_control_with_copies(cx.exec, 1_000_000, 64, gbps(100), copies);
+        let quantum = 570.0 / copies as f64;
+        t.row(
+            &mut out,
+            &[
+                copies.to_string(),
+                format!("{quantum:.1}"),
+                format!("{:.2}", p.metrics.mae),
+                format!("{:.2}", p.metrics.rmse),
+            ],
         );
-        r.check(
-            "capacity_cuts_error_10x",
-            maes[0] / maes.last().unwrap() > 10.0,
-            format!("{:.1} vs {:.1} ns", maes[0], maes.last().unwrap()),
-        );
-        out.blank();
-        out.say("precision scales with accelerator occupancy (the paper's 6.4 ns at capacity)");
-        r.lines = out.into_lines();
-        r
+        maes.push(p.metrics.mae);
     }
+    // Error must fall monotonically with more copies, by roughly the
+    // quantum ratio.
+    r.check("mae_monotone_in_copies", maes.windows(2).all(|w| w[1] < w[0]), format!("{maes:?}"));
+    r.check(
+        "capacity_cuts_error_10x",
+        maes[0] / maes.last().unwrap() > 10.0,
+        format!("{:.1} vs {:.1} ns", maes[0], maes.last().unwrap()),
+    );
+    out.blank();
+    out.say("precision scales with accelerator occupancy (the paper's 6.4 ns at capacity)");
+    r.lines = out.into_lines();
+    r
 }
 
 /// Ablation — cuckoo hashing vs a single-hash array.
-pub struct AblationCuckoo;
-
-impl Experiment for AblationCuckoo {
-    fn name(&self) -> &'static str {
-        "ablation_cuckoo"
-    }
-    fn group(&self) -> &'static str {
-        "ablation"
-    }
-    fn title(&self) -> &'static str {
-        "Ablation — cuckoo hashing vs single-hash residency"
-    }
-    fn weight(&self) -> u32 {
-        2
-    }
-    fn run(&self, _scale: Scale) -> RunOutput {
-        let mut out = Out::new();
-        let mut r = RunOutput::default();
-        out.say("Ablation — data-plane residency: partial-key cuckoo vs single hash");
-        out.say("(identical total slot count; residency = keys not spilled to the CPU)");
-        out.blank();
-        let loads = [0.25, 0.5, 0.7, 0.85];
-        let rows = cuckoo_occupancy(12, &loads);
-        let t = Table::new(
+fn ablation_cuckoo(_cx: RunCx) -> RunOutput {
+    let mut out = Out::new();
+    let mut r = RunOutput::default();
+    out.say("Ablation — data-plane residency: partial-key cuckoo vs single hash");
+    out.say("(identical total slot count; residency = keys not spilled to the CPU)");
+    out.blank();
+    let loads = [0.25, 0.5, 0.7, 0.85];
+    let rows = cuckoo_occupancy(12, &loads);
+    let t =
+        Table::new(&mut out, &["load", "cuckoo resident", "single-hash resident"], &[6, 16, 21]);
+    for row in &rows {
+        t.row(
             &mut out,
-            &["load", "cuckoo resident", "single-hash resident"],
-            &[6, 16, 21],
-        );
-        for row in &rows {
-            t.row(
-                &mut out,
-                &[
-                    format!("{:.2}", row.load),
-                    format!("{:.1}%", row.cuckoo_resident * 100.0),
-                    format!("{:.1}%", row.single_resident * 100.0),
-                ],
-            );
-            r.check(
-                &format!("cuckoo_beats_single_at_{:.2}", row.load),
-                row.cuckoo_resident > row.single_resident,
-                format!("{:.3} vs {:.3}", row.cuckoo_resident, row.single_resident),
-            );
-        }
-        // At half load, cuckoo should be near-perfect while single hash
-        // has already lost a meaningful share to collisions.
-        r.check(
-            "cuckoo_near_perfect_half_load",
-            rows[1].cuckoo_resident > 0.95,
-            format!("{:.3}", rows[1].cuckoo_resident),
+            &[
+                format!("{:.2}", row.load),
+                format!("{:.1}%", row.cuckoo_resident * 100.0),
+                format!("{:.1}%", row.single_resident * 100.0),
+            ],
         );
         r.check(
-            "single_lossy_half_load",
-            rows[1].single_resident < 0.85,
-            format!("{:.3}", rows[1].single_resident),
+            &format!("cuckoo_beats_single_at_{:.2}", row.load),
+            row.cuckoo_resident > row.single_resident,
+            format!("{:.3} vs {:.3}", row.cuckoo_resident, row.single_resident),
         );
-        out.blank();
-        out.say("cuckoo hashing materially raises data-plane memory utilization");
-        r.lines = out.into_lines();
-        r
     }
+    // At half load, cuckoo should be near-perfect while single hash
+    // has already lost a meaningful share to collisions.
+    r.check(
+        "cuckoo_near_perfect_half_load",
+        rows[1].cuckoo_resident > 0.95,
+        format!("{:.3}", rows[1].cuckoo_resident),
+    );
+    r.check(
+        "single_lossy_half_load",
+        rows[1].single_resident < 0.85,
+        format!("{:.3}", rows[1].single_resident),
+    );
+    out.blank();
+    out.say("cuckoo hashing materially raises data-plane memory utilization");
+    r.lines = out.into_lines();
+    r
 }

@@ -2,49 +2,38 @@
 //! produces byte-identical per-experiment results (lines, checks, digest)
 //! regardless of the worker count.  Timing fields are excluded from the
 //! digest by construction.  `fig17_exact_match` additionally exercises the
-//! sharded path: its shards land on different workers and must merge back
-//! to an identical figure.
+//! multi-part path: its parts land on different workers and must merge
+//! back to an identical figure.
 
+use ht_asic::ExecMode;
+use ht_bench::suite::ALL;
 use ht_harness::runner::run_suite;
-use ht_harness::Scale;
+use ht_harness::{Experiment, RunCx, Scale};
 use proptest::prelude::*;
+
+const SMOKE: RunCx = RunCx { scale: Scale::Smoke, exec: ExecMode::Compiled };
+
+/// The rows of the suite table named in `names`, in suite order.
+fn rows(names: &[&str]) -> Vec<Experiment> {
+    ALL.iter().filter(|e| names.contains(&e.name)).copied().collect()
+}
 
 /// A cheap subset of the suite (the fast analytic experiments) — enough
 /// jobs to spread over several of the 8 workers.
-fn subset() -> Vec<Box<dyn ht_harness::Experiment>> {
-    ht_bench::suite::all()
-        .into_iter()
-        .filter(|e| {
-            matches!(
-                e.name(),
-                "table5_loc" | "table6_cost" | "table7_resources" | "ablation_cuckoo"
-            )
-        })
-        .collect()
+fn subset() -> Vec<Experiment> {
+    rows(&["table5_loc", "table6_cost", "table7_resources", "ablation_cuckoo"])
 }
 
-/// The cheap subset plus the sharded Fig. 17 (smoke parameters keep it
+/// The cheap subset plus the multi-part Fig. 17 (smoke parameters keep it
 /// fast; at full scale the sweep is the suite's heaviest job).
-fn subset_with_fig17() -> Vec<Box<dyn ht_harness::Experiment>> {
-    ht_bench::suite::all()
-        .into_iter()
-        .filter(|e| {
-            matches!(
-                e.name(),
-                "table5_loc"
-                    | "table6_cost"
-                    | "table7_resources"
-                    | "ablation_cuckoo"
-                    | "fig17_exact_match"
-            )
-        })
-        .collect()
+fn subset_with_fig17() -> Vec<Experiment> {
+    rows(&["table5_loc", "fig17_exact_match", "table6_cost", "table7_resources", "ablation_cuckoo"])
 }
 
 #[test]
 fn results_identical_at_1_and_8_workers() {
-    let one = run_suite(&subset_with_fig17(), 1, Scale::Smoke, |_| {});
-    let eight = run_suite(&subset_with_fig17(), 8, Scale::Smoke, |_| {});
+    let one = run_suite(&subset_with_fig17(), 1, SMOKE, |_| {});
+    let eight = run_suite(&subset_with_fig17(), 8, SMOKE, |_| {});
     assert_eq!(one.len(), 5);
     assert_eq!(one.len(), eight.len());
     for (a, b) in one.iter().zip(&eight) {
@@ -65,18 +54,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Sharded Fig. 17 digests are identical at `--workers 1` vs any other
-    /// worker count: shards complete in arbitrary order, but the merge
+    /// worker count: parts complete in arbitrary order, but the merge
     /// reassembles them in declaration order.
     #[test]
     fn sharded_fig17_digest_identical_across_workers(workers in 2usize..9) {
-        let fig17 = || -> Vec<Box<dyn ht_harness::Experiment>> {
-            ht_bench::suite::all()
-                .into_iter()
-                .filter(|e| e.name() == "fig17_exact_match")
-                .collect()
-        };
-        let one = run_suite(&fig17(), 1, Scale::Smoke, |_| {});
-        let many = run_suite(&fig17(), workers, Scale::Smoke, |_| {});
+        let fig17 = rows(&["fig17_exact_match"]);
+        let one = run_suite(&fig17, 1, SMOKE, |_| {});
+        let many = run_suite(&fig17, workers, SMOKE, |_| {});
         prop_assert_eq!(one[0].digest, many[0].digest);
         prop_assert_eq!(&one[0].output.lines, &many[0].output.lines);
         prop_assert_eq!(&one[0].output.extras, &many[0].output.extras);
@@ -114,8 +98,9 @@ fn smoke_and_full_scales_both_run_the_cheap_subset() {
     // Scale only changes parameters, never determinism: each scale is
     // self-consistent across repeat runs.
     for scale in [Scale::Smoke, Scale::Full] {
-        let a = run_suite(&subset(), 4, scale, |_| {});
-        let b = run_suite(&subset(), 4, scale, |_| {});
+        let cx = RunCx { scale, exec: ExecMode::Compiled };
+        let a = run_suite(&subset(), 4, cx, |_| {});
+        let b = run_suite(&subset(), 4, cx, |_| {});
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.digest, y.digest, "{} not reproducible at {:?}", x.name, scale);
         }

@@ -2,6 +2,7 @@
 //! regenerator, so `cargo test` catches harness regressions without a
 //! full `htctl bench` pass.
 
+use ht_asic::ExecMode::Compiled;
 use ht_baseline::ratectl::RateControlMode;
 use ht_bench::ablations::{accuracy_ablation, cuckoo_occupancy};
 use ht_bench::experiments::*;
@@ -20,7 +21,7 @@ fn table5_rows_hold_the_loc_relations() {
 #[test]
 fn fig9_small_sweep_hits_line_rate() {
     let arena0 = ht_asic::arena::stats();
-    let pts = fig9_ht_single_port(gbps(100), &[64, 1500]);
+    let pts = fig9_ht_single_port(Compiled, gbps(100), &[64, 1500]);
     for p in pts {
         assert!((p.mpps - p.line_mpps).abs() / p.line_mpps < 0.02, "{} B", p.frame_len);
     }
@@ -45,7 +46,7 @@ fn fig10_mg_model_is_linear() {
 
 #[test]
 fn fig11_ht_beats_mg_at_one_rate() {
-    let ht = ht_rate_control(1_000_000, 64, gbps(40));
+    let ht = ht_rate_control(Compiled, 1_000_000, 64, gbps(40));
     let mg = mg_rate_control(1_000_000, 64, gbps(40), RateControlMode::Hardware);
     assert!(mg.metrics.mae / ht.metrics.mae > 10.0);
 }
@@ -53,6 +54,7 @@ fn fig11_ht_beats_mg_at_one_rate() {
 #[test]
 fn fig13_normal_sits_on_diagonal() {
     let (n, deciles, ks) = fig13_random(
+        Compiled,
         "random(normal, 30000, 2000, 10)",
         ht_stats::Distribution::Normal { mean: 30000.0, std_dev: 2000.0 },
     );
@@ -66,14 +68,14 @@ fn fig13_normal_sits_on_diagonal() {
 
 #[test]
 fn fig14_small_loop_count_calibration() {
-    let p = &fig14_accelerator(&[64], 1_000)[0];
+    let p = &fig14_accelerator(Compiled, &[64], 1_000)[0];
     assert!((p.rtt_ns - 570.0).abs() < 3.0);
     assert_eq!(p.capacity, 89);
 }
 
 #[test]
 fn fig15_single_point() {
-    let p = &fig15_replicator(&[64], 1, 1_000_000)[0];
+    let p = &fig15_replicator(Compiled, &[64], 1, 1_000_000)[0];
     assert!((p.delay_ns - 389.0).abs() < 3.0);
     assert!(p.delay_rmse_ns < 4.5);
 }
@@ -94,14 +96,14 @@ fn fig17_small_flow_count() {
 
 #[test]
 fn fig18_state_based_precision() {
-    let (_, stddev, n) = fig18_state_based(600_000, 150);
+    let (_, stddev, n) = fig18_state_based(Compiled, 600_000, 150);
     assert!(n > 100);
     assert!(stddev < 60.0);
 }
 
 #[test]
 fn table7_shape() {
-    let rows = table7_rows();
+    let rows = table7_rows(Compiled);
     assert_eq!(rows.len(), 8);
     let accel = &rows[0];
     assert!(accel.normalized.sram < 0.02);

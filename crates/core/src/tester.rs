@@ -93,6 +93,10 @@ pub struct TesterConfig {
     pub ports: Vec<(u16, u64)>,
     /// Ports configured in loopback mode (accelerator capacity extension).
     pub loopback_ports: Vec<u16>,
+    /// Pipeline executor [`build`] leaves the switch on.  A per-build
+    /// value, so two testers in one process can run different executors;
+    /// defaults to [`ExecMode::Compiled`](ht_asic::ExecMode::Compiled).
+    pub exec: ht_asic::ExecMode,
 }
 
 impl TesterConfig {
@@ -151,11 +155,12 @@ pub struct TesterConfigBuilder {
     ports: u16,
     speed_bps: u64,
     loopback_ports: Vec<u16>,
+    exec: ht_asic::ExecMode,
 }
 
 impl Default for TesterConfigBuilder {
     /// The defaults of the original constructor: one 100 Gb/s port,
-    /// seed 7.
+    /// seed 7, the compiled executor.
     fn default() -> Self {
         TesterConfigBuilder {
             name: "hypertester".into(),
@@ -163,6 +168,7 @@ impl Default for TesterConfigBuilder {
             ports: 1,
             speed_bps: Gbps(100).bps(),
             loopback_ports: Vec::new(),
+            exec: ht_asic::ExecMode::Compiled,
         }
     }
 }
@@ -204,6 +210,12 @@ impl TesterConfigBuilder {
         self
     }
 
+    /// Pipeline executor of the built switch.
+    pub fn exec(mut self, mode: ht_asic::ExecMode) -> Self {
+        self.exec = mode;
+        self
+    }
+
     /// Validates and produces the [`TesterConfig`].
     pub fn build(self) -> Result<TesterConfig, ConfigError> {
         if self.ports == 0 {
@@ -220,6 +232,7 @@ impl TesterConfigBuilder {
             seed: self.seed,
             ports: (0..self.ports).map(|p| (p, self.speed_bps)).collect(),
             loopback_ports: self.loopback_ports,
+            exec: self.exec,
         })
     }
 }
@@ -399,14 +412,11 @@ pub fn build(task: &CompiledTask, cfg: &TesterConfig) -> Result<BuiltTester, Bui
         return Err(BuildError::Lint(lint.errors().cloned().collect()));
     }
 
-    // All tables are populated and verified: adopt the process-wide
-    // executor default (compiling the pipelines and, for `Vector`,
-    // running the vector-safety analysis).  Callers flipping modes later
-    // use `Switch::set_exec_mode`.
-    let mode = ht_asic::exec::default_mode();
-    if mode != ht_asic::ExecMode::Interp {
-        sw.set_exec_mode(mode);
-    }
+    // All tables are populated and verified: switch to the configured
+    // executor (compiling the pipelines and, for `Vector`, running the
+    // vector-safety analysis).  Callers flipping modes later use
+    // `Switch::set_exec_mode`.
+    sw.set_exec_mode(cfg.exec);
 
     Ok(BuiltTester {
         switch: sw,

@@ -425,3 +425,56 @@ Q6 = query().filter(tcp_flag == SYN+ACK).reduce(keys=[dport], func=count)
     }
     assert_eq!(sw_mut.regs.resident_bytes(), resident + fifo_bytes);
 }
+
+#[test]
+fn two_executors_run_side_by_side_in_one_process() {
+    use ht_asic::sim::metrics;
+    use ht_asic::ExecMode;
+
+    // The default every caller that names no executor relies on.
+    assert_eq!(TesterConfig::builder().build().unwrap().exec, ExecMode::Compiled);
+
+    // Stateful: SALU counters and a keyed (cuckoo) reduce over 60 k keys.
+    let src = r#"
+T1 = trigger().set([dip, proto], [10.0.0.2, udp]).set(pkt_len, 64)
+    .set(sport, range(1, 3000, 1)).set(dport, range(1, 20, 1))
+Q1 = query(T1).reduce(keys=[sport, dport], func=count)
+Q2 = query(T1).map(p -> (pkt_len)).reduce(func=sum)
+"#;
+    let task = compile(&parse(src).unwrap()).unwrap();
+    // Both worlds run at once, each on its own thread: the executor is a
+    // per-build value, not a process-wide setting.
+    let run = |exec: ExecMode| {
+        let cfg = TesterConfig::builder().ports(2).speed(Gbps(100)).exec(exec).build().unwrap();
+        let mut bt = build(&task, &cfg).unwrap();
+        assert_eq!(bt.switch.exec_mode(), exec);
+        let copies = bt.template_copies(0, 16);
+        let mut w = World::builder().seed(1).build().unwrap();
+        let sw = w.add_device(Box::new(bt.switch));
+        let sk = w.add_device(Box::new(Sink::new("sink")));
+        w.link((sw, 0), (sk, 0), LinkSpec::new());
+        SwitchCpu::new().inject_templates(&mut w, sw, copies, 0);
+        let ops0 = metrics::profile_snapshot().ops_retired;
+        w.run_until(ms(1));
+        let ops = metrics::profile_snapshot().ops_retired - ops0;
+        let s: &Switch = w.device(sw);
+        assert_eq!(s.exec_mode(), exec);
+        let mut state = ht_asic::fingerprint::Fnv1a::new();
+        for r in s.regs.iter() {
+            (0..r.depth()).for_each(|i| state.write(&r.cp_read(i).to_le_bytes()));
+        }
+        (s.counters, s.digests.clone(), state.finish(), ops)
+    };
+    let (interp, compiled) = std::thread::scope(|s| {
+        let interp = s.spawn(|| run(ExecMode::Interp));
+        let compiled = s.spawn(|| run(ExecMode::Compiled));
+        (interp.join().unwrap(), compiled.join().unwrap())
+    });
+    assert!(interp.0.tx_frames > 0);
+    assert_eq!(interp.0, compiled.0, "switch counters");
+    assert_eq!(interp.1, compiled.1, "digest records");
+    assert_eq!(interp.2, compiled.2, "register-state digest");
+    // Only the compiled switch retires threaded-code ops.
+    assert_eq!(interp.3, 0);
+    assert!(compiled.3 > 0);
+}

@@ -7,7 +7,7 @@
 
 use crate::report::{compare_to_baseline, BenchReport};
 use crate::runner::run_suite;
-use crate::{Experiment, Scale};
+use crate::{Experiment, RunCx, Scale};
 
 /// Parsed `bench` options.
 #[derive(Debug, Clone)]
@@ -119,7 +119,7 @@ pub fn splice_markdown(existing: &str, ledger: &str) -> String {
 }
 
 /// Runs the full bench front end and returns the process exit code.
-pub fn bench_cli(args: &[String], suite: Vec<Box<dyn Experiment>>) -> i32 {
+pub fn bench_cli(args: &[String], suite: &[Experiment]) -> i32 {
     let opts = match parse_bench_args(args) {
         Ok(o) => o,
         Err(e) => {
@@ -131,20 +131,22 @@ pub fn bench_cli(args: &[String], suite: Vec<Box<dyn Experiment>>) -> i32 {
 }
 
 /// Runs the suite under `opts` and returns the process exit code.
-pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
-    let suite: Vec<Box<dyn Experiment>> = match &opts.filter {
-        Some(f) => suite.into_iter().filter(|e| e.name().contains(f.as_str())).collect(),
-        None => suite,
-    };
+pub fn bench_main(opts: &BenchOpts, suite: &[Experiment]) -> i32 {
+    let suite: Vec<Experiment> = suite
+        .iter()
+        .filter(|e| opts.filter.as_ref().is_none_or(|f| e.name.contains(f.as_str())))
+        .copied()
+        .collect();
+    let cx = RunCx { scale: opts.scale, exec: opts.exec };
     if opts.list {
         println!("{:<24} {:<9} {:>6} {:>5}  title", "name", "group", "shards", "facts");
         for e in &suite {
-            let shards = match e.shards(opts.scale).len() {
+            let shards = match e.shards(cx) {
                 0 => "-".to_string(),
                 n => n.to_string(),
             };
-            let facts = if e.analysis_facts() { "yes" } else { "-" };
-            println!("{:<24} {:<9} {:>6} {:>5}  {}", e.name(), e.group(), shards, facts, e.title());
+            let facts = if e.facts { "yes" } else { "-" };
+            println!("{:<24} {:<9} {:>6} {:>5}  {}", e.name, e.group, shards, facts, e.title);
         }
         return 0;
     }
@@ -152,9 +154,6 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
         eprintln!("error: no experiments match the filter");
         return 1;
     }
-
-    // Every switch built via `ht_core::build` picks this up.
-    ht_asic::exec::set_default_mode(opts.exec);
 
     // With --json on stdout, progress must not pollute the report.
     let progress_to_stderr = opts.json && opts.out.is_none();
@@ -164,7 +163,7 @@ pub fn bench_main(opts: &BenchOpts, suite: Vec<Box<dyn Experiment>>) -> i32 {
     // The one wall clock: the total on the closing summary line, which
     // goes to the terminal and into no report.
     let start = std::time::Instant::now();
-    let results = run_suite(&suite, opts.workers, opts.scale, |p| {
+    let results = run_suite(&suite, opts.workers, cx, |p| {
         let line = format!(
             "[{:>2}/{}] {:<24} {}",
             p.done,

@@ -2,13 +2,17 @@
 //!
 //! The paper's evaluation is seventeen independent, seeded, deterministic
 //! simulations — embarrassingly parallel across experiments even though
-//! each simulation world is strictly single-threaded.  This crate turns
-//! each table/figure regenerator into a typed [`Experiment`] job and runs
-//! the whole suite on a thread pool fed by an LPT list scheduler:
+//! each simulation world is strictly single-threaded.  This crate runs a
+//! table of [`Experiment`] rows on a thread pool fed by an LPT list
+//! scheduler:
 //!
-//! * [`Experiment`] — the job interface: buffered output lines, named
-//!   pass/fail [`Check`]s (replacing ad-hoc `assert!`s in binaries), and
-//!   optional machine-readable extras.
+//! * [`Experiment`] — one row of plain data: name, group, title, weight,
+//!   facts flag and a [`Body`], either one `fn(RunCx) -> RunOutput` or
+//!   weighted [`Part`]s plus a merge.  A run produces buffered output
+//!   lines, named pass/fail [`Check`]s (replacing ad-hoc `assert!`s in
+//!   binaries) and optional machine-readable extras.
+//! * [`RunCx`] — what every run is given, by value: the [`Scale`] and the
+//!   pipeline executor every tester it builds must use.
 //! * [`runner`] — the LPT list scheduler with streamed per-job
 //!   progress; results keep suite order regardless of worker count.
 //! * [`report`] — `BENCH.json` serialization, a markdown run ledger, and
@@ -27,11 +31,10 @@
 //! clock or thread identity — the suite digest is byte-identical at
 //! `--workers 1` and `--workers 8`.
 //!
-//! Heavy experiments can additionally split themselves into [`Shard`]s
-//! (independent sub-jobs the scheduler balances across workers) with a
-//! deterministic [`Experiment::merge`]; the contract extends to shards —
-//! suite output and digests are identical whether an experiment ran
-//! monolithically, sharded on one worker, or sharded across eight.
+//! A heavy experiment can split into [`Part`]s (independent units the
+//! scheduler balances across workers) with a deterministic merge; the
+//! contract extends to parts: suite output and digests are identical
+//! whether the parts ran on one worker or across eight.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -154,93 +157,103 @@ impl Table {
     }
 }
 
-/// One experiment job: a table/figure regenerator (or ablation) that the
-/// runner can schedule on any worker thread.
-///
-/// Implementations are stateless handles (`Send + Sync`); all simulation
-/// state is built inside [`run`](Experiment::run) on whichever worker
-/// thread executes the job, so per-thread arenas and counters stay
-/// coherent and results are independent of the worker count.
-pub trait Experiment: Send + Sync {
-    /// Stable identifier (the old binary name, e.g. `fig14_accelerator`).
-    fn name(&self) -> &'static str;
+/// What every experiment run is given: how much work to do and the
+/// pipeline executor every tester it builds must use.  Passed by value,
+/// so two suites in one process can run under different executors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunCx {
+    /// Sweep size.
+    pub scale: Scale,
+    /// Executor for every tester build (`TesterConfig::exec`).
+    pub exec: ht_asic::ExecMode,
+}
 
+/// One independently schedulable piece of an [`Experiment`].  Parts of one
+/// experiment share no mutable state: each runs on whichever worker picks
+/// it up, and only their [`RunOutput`]s meet again, in declaration order.
+pub struct Part {
+    /// Human-readable label (e.g. `d16/a16/500k`; empty for a whole
+    /// experiment), prefixed to the panic message if the part panics.
+    pub label: String,
+    /// Relative cost weight for scheduling, like [`Experiment::weight`].
+    pub weight: u32,
+    /// Runs this slice of the experiment.
+    pub run: Box<dyn Fn(RunCx) -> RunOutput + Send + Sync>,
+}
+
+/// How an [`Experiment`] runs.
+#[derive(Clone, Copy)]
+pub enum Body {
+    /// One job producing the whole output.
+    Whole(fn(RunCx) -> RunOutput),
+    /// Independently schedulable [`Part`]s, reassembled by a deterministic
+    /// `merge` that always receives the part outputs in `parts` order,
+    /// whatever order they finished in.
+    Parts {
+        /// The parts at a run context (at least one).
+        parts: fn(RunCx) -> Vec<Part>,
+        /// Reassembles one [`RunOutput`] from the part outputs (it feeds
+        /// the result digest, so it must be deterministic).
+        merge: fn(RunCx, Vec<RunOutput>) -> RunOutput,
+    },
+}
+
+/// One experiment: a table/figure regenerator (or ablation) the runner
+/// can schedule on any worker thread.  Plain data; all simulation state is
+/// built inside the body on whichever worker runs it, so per-thread arenas
+/// and counters stay coherent and results do not depend on the worker
+/// count.
+#[derive(Clone, Copy)]
+pub struct Experiment {
+    /// Stable identifier (the old binary name, e.g. `fig14_accelerator`).
+    pub name: &'static str,
     /// Report group: `"paper"` for tables/figures, `"ablation"` for the
     /// design ablations.
-    fn group(&self) -> &'static str {
-        "paper"
-    }
-
+    pub group: &'static str,
     /// One-line human title.
-    fn title(&self) -> &'static str;
-
-    /// Relative cost weight for scheduling — heavier jobs are dealt first
+    pub title: &'static str,
+    /// Relative cost weight for scheduling: heavier work is dealt first,
     /// so the longest job starts earliest (LPT order).
-    fn weight(&self) -> u32 {
-        1
-    }
-
+    pub weight: u32,
     /// Whether the experiment's compiled NTAPI tasks carry
     /// abstract-interpretation facts (a non-empty `analysis` section in
     /// their IR: field-range or timer-feasibility entries).  Shown as the
     /// `facts` column of `bench --list` so regressions in the
     /// `analysis-annotation` pass are easy to localize.
-    fn analysis_facts(&self) -> bool {
-        false
-    }
-
-    /// Splits the experiment into independently runnable [`Shard`]s.
-    ///
-    /// The default (empty) keeps the experiment monolithic: the runner
-    /// calls [`run`](Experiment::run) as one job.  A non-empty vector
-    /// makes the runner schedule each shard as its own unit of work and
-    /// reassemble the experiment's output via [`merge`](Experiment::merge)
-    /// once all shards finish — shard results are always passed to `merge`
-    /// in `shards()` order, regardless of completion order.
-    fn shards(&self, _scale: Scale) -> Vec<Box<dyn Shard>> {
-        Vec::new()
-    }
-
-    /// Reassembles one [`RunOutput`] from the shard results, in
-    /// [`shards`](Experiment::shards) order.
-    ///
-    /// Must be deterministic (it feeds the result digest).  Only called
-    /// when `shards()` is non-empty; the default panics to catch sharded
-    /// experiments that forget to implement it.
-    fn merge(&self, _scale: Scale, _parts: Vec<RunOutput>) -> RunOutput {
-        unreachable!("sharded experiment must implement merge()")
-    }
-
-    /// Runs the experiment at `scale` and returns its buffered results.
-    ///
-    /// Sharded experiments get this for free — the default runs every
-    /// shard serially and merges, so a serial `runner::run_job` produces
-    /// byte-identical output to the sharded parallel path by
-    /// construction.  Monolithic experiments must override it.
-    fn run(&self, scale: Scale) -> RunOutput {
-        let shards = self.shards(scale);
-        assert!(!shards.is_empty(), "experiment must implement run() or shards()");
-        let parts = shards.iter().map(|s| s.run(scale)).collect();
-        self.merge(scale, parts)
-    }
+    pub facts: bool,
+    /// What runs.
+    pub body: Body,
 }
 
-/// One independently schedulable piece of a sharded [`Experiment`].
-///
-/// Shards of one experiment must not share mutable state: each runs on
-/// whichever worker thread picks it up, and only the [`RunOutput`]s meet
-/// again (in order) inside [`Experiment::merge`].
-pub trait Shard: Send + Sync {
-    /// Human-readable shard label (progress display, e.g. `d16/500k`).
-    fn label(&self) -> String;
-
-    /// Relative cost weight for scheduling, like [`Experiment::weight`].
-    fn weight(&self) -> u32 {
-        1
+impl Experiment {
+    /// The schedulable parts at `cx`: a [`Body::Whole`] experiment is the
+    /// one-part case.
+    pub fn parts(&self, cx: RunCx) -> Vec<Part> {
+        match self.body {
+            Body::Whole(run) => {
+                vec![Part { label: String::new(), weight: self.weight, run: Box::new(run) }]
+            }
+            Body::Parts { parts, .. } => parts(cx),
+        }
     }
 
-    /// Runs this shard's slice of the experiment.
-    fn run(&self, scale: Scale) -> RunOutput;
+    /// Reassembles the output from the part outputs, in [`parts`](Self::parts)
+    /// order (the identity for a whole experiment).
+    pub fn merge(&self, cx: RunCx, outputs: Vec<RunOutput>) -> RunOutput {
+        match self.body {
+            Body::Whole(_) => outputs.into_iter().next().unwrap_or_default(),
+            Body::Parts { merge, .. } => merge(cx, outputs),
+        }
+    }
+
+    /// The shard count `bench --list` and `BENCH.json` report: 0 for a
+    /// whole experiment, otherwise its number of parts.
+    pub fn shards(&self, cx: RunCx) -> usize {
+        match self.body {
+            Body::Whole(_) => 0,
+            Body::Parts { parts, .. } => parts(cx).len(),
+        }
+    }
 }
 
 /// Digest of an experiment's deterministic payload (lines + check

@@ -9,21 +9,22 @@
 //! calling thread, which stores them by suite index and runs the caller's
 //! progress callback while the pool works.
 //!
-//! A unit of work is either a whole monolithic experiment or one
-//! [`Shard`] of a sharded experiment ([`Experiment::shards`]).  Shards of
-//! one experiment can land on different workers; the last one to finish
-//! reassembles the experiment via [`Experiment::merge`] with the shard
-//! outputs in declaration order, so the merged result — and therefore the
-//! suite output and digests — is identical at any worker count.
+//! A unit of work is one [`Part`] of an experiment ([`Experiment::parts`];
+//! a whole experiment is the one-part case).  Parts of one experiment can
+//! land on different workers; the last one to finish reassembles the
+//! experiment via [`Experiment::merge`] with the part outputs in
+//! declaration order, so the merged result (and therefore the suite
+//! output and digests) is identical at any worker count.
 //!
 //! Each unit runs entirely on one worker thread, so the thread-local
 //! simulation counters ([`ht_asic::sim::metrics`]) and allocation arenas
 //! ([`ht_asic::arena`]) can be read as before/after deltas around the unit
 //! — that is where `BENCH.json`'s event counts, peak queue depth, and
-//! arena hit rates come from; sharded experiments report the sums (and
-//! the per-shard maximum for queue depth).  Nothing here reads a clock.
+//! arena hit rates come from; an experiment reports the sums over its
+//! parts (and the per-part maximum for queue depth).  Nothing here reads
+//! a clock.
 
-use crate::{result_digest, Experiment, RunOutput, Scale, Shard};
+use crate::{result_digest, Experiment, Part, RunCx, RunOutput};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -50,7 +51,7 @@ pub struct JobResult {
     pub arena_allocs: u64,
     /// PHV buffers the job recycled from the thread-local arena.
     pub arena_reuses: u64,
-    /// How many shards the experiment split into (0 = monolithic).
+    /// How many parts the experiment split into (0 = a whole experiment).
     pub shards: usize,
     /// FNV-1a digest of the deterministic payload (lines + check verdicts).
     pub digest: u64,
@@ -77,11 +78,10 @@ pub struct Progress<'a> {
     pub output: &'a RunOutput,
 }
 
-/// One measured execution of a closure: counters and either the produced
-/// output or the captured panic.
+/// One measured execution of a part: counters and either the produced
+/// output or the captured panic message.
 struct Measured {
-    panicked: Option<String>,
-    output: Option<RunOutput>,
+    outcome: Result<RunOutput, String>,
     events: u64,
     peak_queue_depth: u64,
     arena_allocs: u64,
@@ -98,197 +98,136 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `f` on the current thread, measuring the thread-local simulation
-/// counters around it and capturing panics.
-fn measure(f: impl FnOnce() -> RunOutput) -> Measured {
+/// counters around it and capturing a panic (prefixed with `label`, if
+/// any).
+fn measure(label: &str, f: impl FnOnce() -> RunOutput) -> Measured {
     use ht_asic::sim::metrics;
 
     let ev0 = metrics::thread_events();
     let _ = metrics::take_thread_peak_queue();
     let ar0 = ht_asic::arena::stats();
     let prof0 = metrics::profile_snapshot();
-    let outcome = catch_unwind(AssertUnwindSafe(f));
-    let events = metrics::thread_events() - ev0;
-    let peak_queue_depth = metrics::take_thread_peak_queue();
+    let outcome =
+        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| match panic_message(payload) {
+            msg if label.is_empty() => msg,
+            msg => format!("{label}: {msg}"),
+        });
     let ar = ht_asic::arena::stats();
-    let profile = metrics::profile_snapshot().delta_since(&prof0);
-
-    let (output, panicked) = match outcome {
-        Ok(out) => (Some(out), None),
-        Err(payload) => (None, Some(panic_message(payload))),
-    };
     Measured {
-        panicked,
-        output,
-        events,
-        peak_queue_depth,
+        outcome,
+        events: metrics::thread_events() - ev0,
+        peak_queue_depth: metrics::take_thread_peak_queue(),
         arena_allocs: ar.allocs - ar0.allocs,
         arena_reuses: ar.reuses - ar0.reuses,
-        profile,
+        profile: metrics::profile_snapshot().delta_since(&prof0),
     }
 }
 
-/// Assembles a [`JobResult`] from an experiment's aggregated measurement.
-fn finish_job(exp: &dyn Experiment, shards: usize, m: Measured) -> JobResult {
-    let mut output = m.output.unwrap_or_default();
+/// Folds the per-part measurements of one experiment (in part order) into
+/// its [`JobResult`], running [`Experiment::merge`] on the current thread
+/// unless a part panicked.
+fn finish_job(exp: &Experiment, cx: RunCx, parts: Vec<Measured>) -> JobResult {
+    let shards = exp.shards(cx);
+    let mut panicked = None;
+    let (mut events, mut peak_queue_depth, mut arena_allocs, mut arena_reuses) = (0, 0, 0, 0);
+    let mut profile = ht_asic::sim::metrics::ProfileSnapshot::default();
+    let mut outputs = Vec::with_capacity(parts.len());
+    for p in parts {
+        events += p.events;
+        peak_queue_depth = peak_queue_depth.max(p.peak_queue_depth);
+        arena_allocs += p.arena_allocs;
+        arena_reuses += p.arena_reuses;
+        profile.absorb(&p.profile);
+        match p.outcome {
+            Ok(out) => outputs.push(out),
+            Err(msg) => {
+                panicked.get_or_insert(msg);
+            }
+        }
+    }
+    let mut output = match panicked {
+        Some(_) => RunOutput::default(),
+        None => catch_unwind(AssertUnwindSafe(|| exp.merge(cx, outputs))).unwrap_or_else(|p| {
+            panicked = Some(panic_message(p));
+            RunOutput::default()
+        }),
+    };
     // Stamp the executor the run used: extras are reported, not digested,
     // so this cannot perturb cross-mode digest comparisons.
-    output
-        .extras
-        .push(("exec_mode".into(), format!("\"{}\"", ht_asic::exec::default_mode().as_str())));
+    output.extras.push(("exec_mode".into(), format!("\"{}\"", cx.exec.as_str())));
     JobResult {
-        name: exp.name().to_string(),
-        group: exp.group().to_string(),
-        title: exp.title().to_string(),
-        ok: m.panicked.is_none() && output.all_passed(),
-        panicked: m.panicked,
-        events: m.events,
-        peak_queue_depth: m.peak_queue_depth,
-        arena_allocs: m.arena_allocs,
-        arena_reuses: m.arena_reuses,
+        name: exp.name.to_string(),
+        group: exp.group.to_string(),
+        title: exp.title.to_string(),
+        ok: panicked.is_none() && output.all_passed(),
+        panicked,
+        events,
+        peak_queue_depth,
+        arena_allocs,
+        arena_reuses,
         shards,
         digest: result_digest(&output),
-        profile: m.profile,
+        profile,
         output,
     }
 }
 
-/// Executes one experiment on the current thread (shards, if any, run
-/// serially via the default [`Experiment::run`]).
-pub fn run_job(exp: &dyn Experiment, scale: Scale) -> JobResult {
-    let shards = exp.shards(scale).len();
-    finish_job(exp, shards, measure(|| exp.run(scale)))
+/// Worker threads for `units` units of work: the requested count, at
+/// least one, but never more threads than there is work for.
+fn pool_size(workers: usize, units: usize) -> usize {
+    workers.max(1).min(units)
 }
 
-/// Combines the per-shard measurements of one experiment (in shard order)
-/// into the experiment's [`JobResult`], running [`Experiment::merge`] on
-/// the current thread.
-fn merge_job(exp: &dyn Experiment, scale: Scale, parts: Vec<Measured>) -> JobResult {
-    let shards = parts.len();
-    let mut agg = Measured {
-        panicked: None,
-        output: None,
-        events: 0,
-        peak_queue_depth: 0,
-        arena_allocs: 0,
-        arena_reuses: 0,
-        profile: Default::default(),
-    };
-    let mut outputs = Vec::with_capacity(shards);
-    for p in parts {
-        agg.events += p.events;
-        agg.peak_queue_depth = agg.peak_queue_depth.max(p.peak_queue_depth);
-        agg.arena_allocs += p.arena_allocs;
-        agg.arena_reuses += p.arena_reuses;
-        agg.profile.absorb(&p.profile);
-        if agg.panicked.is_none() {
-            if let Some(msg) = p.panicked {
-                agg.panicked = Some(msg);
-            }
-        }
-        if let Some(out) = p.output {
-            outputs.push(out);
-        }
-    }
-    if agg.panicked.is_none() {
-        match catch_unwind(AssertUnwindSafe(|| exp.merge(scale, outputs))) {
-            Ok(out) => agg.output = Some(out),
-            Err(payload) => agg.panicked = Some(panic_message(payload)),
-        }
-    }
-    finish_job(exp, shards, agg)
-}
-
-/// One schedulable unit: a monolithic experiment or a single shard.
-struct Unit {
-    exp: usize,
-    shard: Option<usize>,
-    weight: u32,
-}
-
-/// Collects the shard measurements of one sharded experiment until all of
-/// them have arrived.
-struct Pending {
-    parts: Vec<Option<Measured>>,
-    remaining: usize,
-}
-
-/// Runs `suite` on `workers` threads, invoking `on_progress` as each
-/// experiment finishes.  Results come back in suite order regardless of
-/// scheduling; sharded experiments produce byte-identical output at any
-/// worker count (see the module docs).
+/// Runs `suite` at `cx` on up to `workers` threads, invoking `on_progress`
+/// as each experiment finishes.  Results come back in suite order
+/// regardless of scheduling, and are identical at any worker count (see
+/// the module docs).
 pub fn run_suite(
-    suite: &[Box<dyn Experiment>],
+    suite: &[Experiment],
     workers: usize,
-    scale: Scale,
+    cx: RunCx,
     mut on_progress: impl FnMut(&Progress<'_>),
 ) -> Vec<JobResult> {
-    let workers = workers.max(1);
     let total = suite.len();
+    let parts: Vec<Vec<Part>> = suite.iter().map(|e| e.parts(cx)).collect();
+    // Each experiment's part measurements, filled in as parts finish.
+    let pending: Vec<Mutex<Vec<Option<Measured>>>> =
+        parts.iter().map(|p| Mutex::new(p.iter().map(|_| None).collect())).collect();
 
-    let shard_sets: Vec<Vec<Box<dyn Shard>>> = suite.iter().map(|e| e.shards(scale)).collect();
-    let mut units: Vec<Unit> = Vec::new();
-    for (i, (exp, shards)) in suite.iter().zip(&shard_sets).enumerate() {
-        if shards.is_empty() {
-            units.push(Unit { exp: i, shard: None, weight: exp.weight() });
-        } else {
-            for (j, s) in shards.iter().enumerate() {
-                units.push(Unit { exp: i, shard: Some(j), weight: s.weight() });
-            }
-        }
-    }
-    let pending: Vec<Mutex<Pending>> = shard_sets
-        .iter()
-        .map(|s| {
-            Mutex::new(Pending { parts: s.iter().map(|_| None).collect(), remaining: s.len() })
-        })
-        .collect();
-
-    // LPT list: heaviest first; the cursor hands each free worker the
-    // next unit.  Relaxed suffices: the cursor publishes no other data
-    // (`units`/`order` are immutable and shared by the scope).
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(units[u].weight));
+    // LPT list: one unit `(experiment, part)` per part, heaviest first (a
+    // stable sort, so ties keep suite then part order); the cursor hands
+    // each free worker the next unit.  Relaxed suffices: the cursor
+    // publishes no other data (`order` is immutable and shared by the
+    // scope).
+    let mut order: Vec<(usize, usize)> =
+        parts.iter().enumerate().flat_map(|(i, p)| (0..p.len()).map(move |j| (i, j))).collect();
+    order.sort_by_key(|&(i, j)| std::cmp::Reverse(parts[i][j].weight));
     let cursor = AtomicUsize::new(0);
 
     let mut results: Vec<Option<JobResult>> = vec![None; total];
     let (tx, rx) = mpsc::channel::<(usize, JobResult)>();
 
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        for _ in 0..pool_size(workers, order.len()) {
             let tx = tx.clone();
-            let (order, cursor, units) = (&order, &cursor, &units);
-            let (shard_sets, pending) = (&shard_sets, &pending);
+            let (order, cursor, parts, pending) = (&order, &cursor, &parts, &pending);
             s.spawn(move || {
-                while let Some(&u) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                    let Unit { exp, shard, .. } = units[u];
-                    let r = match shard {
-                        None => Some(run_job(suite[exp].as_ref(), scale)),
-                        Some(j) => {
-                            let m = measure(|| shard_sets[exp][j].run(scale));
-                            let mut p = pending[exp].lock().unwrap();
-                            p.parts[j] = Some(m);
-                            p.remaining -= 1;
-                            if p.remaining == 0 {
-                                let parts: Vec<Measured> = p
-                                    .parts
-                                    .iter_mut()
-                                    .map(|m| m.take().expect("shard ran"))
-                                    .collect();
-                                drop(p);
-                                Some(merge_job(suite[exp].as_ref(), scale, parts))
-                            } else {
-                                None
-                            }
-                        }
-                    };
-                    if let Some(r) = r {
-                        let _ = tx.send((exp, r));
+                while let Some(&(i, j)) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let part = &parts[i][j];
+                    let m = measure(&part.label, || (part.run)(cx));
+                    let mut p = pending[i].lock().unwrap();
+                    p[j] = Some(m);
+                    // The last part to finish merges the experiment.
+                    if p.iter().all(Option::is_some) {
+                        let done = p.drain(..).map(Option::unwrap).collect();
+                        drop(p);
+                        let _ = tx.send((i, finish_job(&suite[i], cx, done)));
                     }
                 }
             });
         }
         drop(tx);
-        for (done, (exp, r)) in rx.into_iter().enumerate() {
+        for (done, (i, r)) in rx.into_iter().enumerate() {
             on_progress(&Progress {
                 done: done + 1,
                 total,
@@ -296,7 +235,7 @@ pub fn run_suite(
                 ok: r.ok,
                 output: &r.output,
             });
-            results[exp] = Some(r);
+            results[i] = Some(r);
         }
     });
 
@@ -306,112 +245,85 @@ pub fn run_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Out;
+    use crate::{Body, Out, Scale};
+    use ht_asic::ExecMode;
 
-    struct Fib(&'static str, u64);
+    const CX: RunCx = RunCx { scale: Scale::Full, exec: ExecMode::Compiled };
 
-    impl Experiment for Fib {
-        fn name(&self) -> &'static str {
-            self.0
-        }
-        fn title(&self) -> &'static str {
-            "fib"
-        }
-        fn run(&self, _scale: Scale) -> RunOutput {
-            fn fib(n: u64) -> u64 {
-                if n < 2 {
-                    n
-                } else {
-                    fib(n - 1) + fib(n - 2)
-                }
+    fn row(name: &'static str, body: Body) -> Experiment {
+        Experiment { name, group: "paper", title: "test row", weight: 1, facts: false, body }
+    }
+
+    fn fib<const N: u64>(_cx: RunCx) -> RunOutput {
+        fn fib(n: u64) -> u64 {
+            if n < 2 {
+                n
+            } else {
+                fib(n - 1) + fib(n - 2)
             }
-            let mut out = Out::new();
-            out.say(format!("fib({}) = {}", self.1, fib(self.1)));
-            let mut r = RunOutput { lines: out.into_lines(), ..Default::default() };
-            r.check("computed", true, "");
-            r
         }
+        let mut out = Out::new();
+        out.say(format!("fib({N}) = {}", fib(N)));
+        let mut r = RunOutput { lines: out.into_lines(), ..Default::default() };
+        r.check("computed", true, "");
+        r
     }
 
-    struct Panics;
-
-    impl Experiment for Panics {
-        fn name(&self) -> &'static str {
-            "panics"
-        }
-        fn title(&self) -> &'static str {
-            "always panics"
-        }
-        fn run(&self, _scale: Scale) -> RunOutput {
-            panic!("boom {}", 42);
-        }
+    fn panics(_cx: RunCx) -> RunOutput {
+        panic!("boom {}", 42);
     }
 
-    /// A sharded experiment: each shard squares one number, the merge
-    /// emits one line per shard plus a sum line.
-    struct Squares {
-        inputs: Vec<u64>,
-        panic_at: Option<usize>,
+    /// One part per input, squaring it (the part at `panic_at` panics).
+    fn square_parts(inputs: &[u64], panic_at: Option<usize>) -> Vec<Part> {
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| Part {
+                label: format!("x={x}"),
+                weight: x as u32,
+                run: Box::new(move |_cx| {
+                    assert!(panic_at != Some(i), "part exploded");
+                    let mut r = RunOutput::default();
+                    r.lines.push(format!("{x}^2 = {}", x * x));
+                    r.extras.push(("sq".into(), (x * x).to_string()));
+                    r
+                }),
+            })
+            .collect()
     }
 
-    struct SquareShard {
-        x: u64,
-        panic: bool,
+    /// Emits one line per part plus a sum line.
+    fn sum_squares(_cx: RunCx, parts: Vec<RunOutput>) -> RunOutput {
+        let mut r = RunOutput::default();
+        let mut sum = 0u64;
+        for p in parts {
+            r.lines.extend(p.lines);
+            sum += p.extras[0].1.parse::<u64>().unwrap();
+        }
+        r.lines.push(format!("sum = {sum}"));
+        r.check("summed", true, "");
+        r
     }
 
-    impl Shard for SquareShard {
-        fn label(&self) -> String {
-            format!("x={}", self.x)
-        }
-        fn weight(&self) -> u32 {
-            self.x as u32
-        }
-        fn run(&self, _scale: Scale) -> RunOutput {
-            assert!(!self.panic, "shard exploded");
-            let mut r = RunOutput::default();
-            r.lines.push(format!("{}^2 = {}", self.x, self.x * self.x));
-            r.extras.push(("sq".into(), (self.x * self.x).to_string()));
-            r
-        }
+    fn squares() -> Experiment {
+        row(
+            "squares",
+            Body::Parts { parts: |_| square_parts(&[3, 1, 4, 1, 5], None), merge: sum_squares },
+        )
     }
 
-    impl Experiment for Squares {
-        fn name(&self) -> &'static str {
-            "squares"
-        }
-        fn title(&self) -> &'static str {
-            "sharded squares"
-        }
-        fn shards(&self, _scale: Scale) -> Vec<Box<dyn Shard>> {
-            self.inputs
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| {
-                    Box::new(SquareShard { x, panic: self.panic_at == Some(i) }) as Box<dyn Shard>
-                })
-                .collect()
-        }
-        fn merge(&self, _scale: Scale, parts: Vec<RunOutput>) -> RunOutput {
-            let mut r = RunOutput::default();
-            let mut sum = 0u64;
-            for p in parts {
-                r.lines.extend(p.lines);
-                sum += p.extras[0].1.parse::<u64>().unwrap();
-            }
-            r.lines.push(format!("sum = {sum}"));
-            r.check("summed", true, "");
-            r
-        }
-    }
-
-    fn suite() -> Vec<Box<dyn Experiment>> {
-        vec![Box::new(Fib("fib_a", 18)), Box::new(Fib("fib_b", 10)), Box::new(Fib("fib_c", 14))]
+    fn suite() -> Vec<Experiment> {
+        vec![
+            row("fib_a", Body::Whole(fib::<18>)),
+            row("fib_b", Body::Whole(fib::<10>)),
+            row("fib_c", Body::Whole(fib::<14>)),
+        ]
     }
 
     #[test]
     fn results_keep_suite_order_across_worker_counts() {
-        let one = run_suite(&suite(), 1, Scale::Full, |_| {});
-        let eight = run_suite(&suite(), 8, Scale::Full, |_| {});
+        let one = run_suite(&suite(), 1, CX, |_| {});
+        let eight = run_suite(&suite(), 8, CX, |_| {});
         let names: Vec<_> = one.iter().map(|r| r.name.clone()).collect();
         assert_eq!(names, vec!["fib_a", "fib_b", "fib_c"]);
         for (a, b) in one.iter().zip(&eight) {
@@ -424,70 +336,83 @@ mod tests {
     #[test]
     fn progress_streams_every_job() {
         let mut seen = Vec::new();
-        let _ = run_suite(&suite(), 2, Scale::Full, |p| seen.push((p.done, p.name.clone())));
+        let _ = run_suite(&suite(), 2, CX, |p| seen.push((p.done, p.name.clone())));
         assert_eq!(seen.len(), 3);
         assert_eq!(seen.last().unwrap().0, 3);
     }
 
     #[test]
     fn panics_are_captured_not_fatal() {
-        let suite: Vec<Box<dyn Experiment>> = vec![Box::new(Panics), Box::new(Fib("fib", 5))];
-        let r = run_suite(&suite, 4, Scale::Full, |_| {});
+        let suite = [row("panics", Body::Whole(panics)), row("fib", Body::Whole(fib::<5>))];
+        let r = run_suite(&suite, 4, CX, |_| {});
         assert!(!r[0].ok);
-        assert!(r[0].panicked.as_deref().unwrap().contains("boom"));
+        assert_eq!(r[0].panicked.as_deref(), Some("boom 42"));
         assert!(r[1].ok);
     }
 
-    fn sharded_suite() -> Vec<Box<dyn Experiment>> {
-        vec![
-            Box::new(Fib("fib_a", 12)),
-            Box::new(Squares { inputs: vec![3, 1, 4, 1, 5], panic_at: None }),
-            Box::new(Fib("fib_b", 8)),
-        ]
+    fn sharded_suite() -> Vec<Experiment> {
+        vec![row("fib_a", Body::Whole(fib::<12>)), squares(), row("fib_b", Body::Whole(fib::<8>))]
     }
 
     #[test]
-    fn sharded_results_are_identical_across_worker_counts_and_run_single() {
-        let one = run_suite(&sharded_suite(), 1, Scale::Full, |_| {});
-        let eight = run_suite(&sharded_suite(), 8, Scale::Full, |_| {});
+    fn sharded_results_are_identical_across_worker_counts() {
+        let one = run_suite(&sharded_suite(), 1, CX, |_| {});
+        let eight = run_suite(&sharded_suite(), 8, CX, |_| {});
         for (a, b) in one.iter().zip(&eight) {
             assert_eq!(a.digest, b.digest, "{}", a.name);
             assert_eq!(a.output.lines, b.output.lines);
         }
-        // Merge preserves shard declaration order, not completion order.
+        // Merge preserves part declaration order, not completion (LPT)
+        // order.
         let sq = &one[1];
         assert_eq!(sq.shards, 5);
         assert!(sq.ok);
         assert_eq!(sq.output.lines[0], "3^2 = 9");
         assert_eq!(sq.output.lines[4], "5^2 = 25");
         assert_eq!(sq.output.lines[5], "sum = 52");
-        // The serial `run_job` path matches too.
-        let single = run_job(&Squares { inputs: vec![3, 1, 4, 1, 5], panic_at: None }, Scale::Full);
-        assert_eq!(single.digest, sq.digest);
-        assert_eq!(single.shards, 5);
     }
 
     #[test]
     fn sharded_progress_fires_once_per_experiment() {
         let mut seen = Vec::new();
-        let _ = run_suite(&sharded_suite(), 3, Scale::Full, |p| seen.push(p.name.clone()));
+        let _ = run_suite(&sharded_suite(), 3, CX, |p| seen.push(p.name.clone()));
         assert_eq!(seen.len(), 3, "one progress event per experiment: {seen:?}");
         assert_eq!(seen.iter().filter(|n| *n == "squares").count(), 1);
     }
 
     #[test]
-    fn shard_panic_is_captured_and_skips_merge() {
-        let suite: Vec<Box<dyn Experiment>> =
-            vec![Box::new(Squares { inputs: vec![2, 7], panic_at: Some(1) })];
-        let r = run_suite(&suite, 2, Scale::Full, |_| {});
+    fn part_panic_is_captured_and_skips_merge() {
+        let exploding =
+            Body::Parts { parts: |_| square_parts(&[2, 7], Some(1)), merge: sum_squares };
+        let r = run_suite(&[row("squares", exploding)], 2, CX, |_| {});
         assert!(!r[0].ok);
-        assert!(r[0].panicked.as_deref().unwrap().contains("shard exploded"));
-        assert!(r[0].output.lines.is_empty(), "merge must not run after a shard panic");
+        assert_eq!(r[0].panicked.as_deref(), Some("x=7: part exploded"));
+        assert!(r[0].output.lines.is_empty(), "merge must not run after a part panic");
     }
 
     #[test]
     fn monolithic_jobs_report_zero_shards() {
-        let r = run_suite(&suite(), 1, Scale::Full, |_| {});
+        let r = run_suite(&suite(), 1, CX, |_| {});
         assert!(r.iter().all(|j| j.shards == 0));
+    }
+
+    #[test]
+    fn the_run_context_reaches_every_part_and_the_exec_stamp() {
+        fn echo(cx: RunCx) -> RunOutput {
+            RunOutput { lines: vec![format!("{:?} {}", cx.scale, cx.exec)], ..Default::default() }
+        }
+        let cx = RunCx { scale: Scale::Smoke, exec: ExecMode::Interp };
+        let r = run_suite(&[row("echo", Body::Whole(echo))], 1, cx, |_| {});
+        assert_eq!(r[0].output.lines, ["Smoke interp"]);
+        assert_eq!(r[0].output.extras, [("exec_mode".to_string(), "\"interp\"".to_string())]);
+    }
+
+    #[test]
+    fn the_pool_never_outnumbers_the_work() {
+        assert_eq!(pool_size(100_000, 28), 28);
+        assert_eq!(pool_size(4, 28), 4);
+        assert_eq!(pool_size(0, 28), 1);
+        assert_eq!(pool_size(8, 1), 1);
+        assert_eq!(pool_size(8, 0), 0);
     }
 }

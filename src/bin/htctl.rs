@@ -447,12 +447,12 @@ struct RunOpts {
 }
 
 fn cmd_run(path: &str, opts: RunOpts) -> Result<(), String> {
-    // `build()` compiles the pipelines when the process default says so.
-    hypertester::asic::exec::set_default_mode(opts.exec);
     let (_, task) = Fe::default().load(path)?;
+    // `build()` leaves the switch on the configured executor.
     let config = TesterConfig::builder()
         .ports(opts.ports)
         .speed(Gbps(opts.speed_gbps))
+        .exec(opts.exec)
         .build()
         .map_err(|e| e.to_string())?;
     let mut tester = build(&task, &config).map_err(|e| e.to_string())?;
@@ -593,7 +593,7 @@ fn main() -> ExitCode {
         return ExitCode::from(
             u8::try_from(hypertester::harness::cli::bench_cli(
                 rest,
-                hypertester::bench::suite::all(),
+                &hypertester::bench::suite::ALL,
             ))
             .unwrap_or(1),
         );

@@ -327,15 +327,36 @@ fn fuzz_json_reports_the_case_mix() {
     assert!(stdout.contains("\"failures\":[]"), "{stdout}");
 }
 
+/// `htctl bench --list` at full scale: every row of the suite table, in
+/// order, with its group, shard count, facts flag and title.
+const BENCH_LIST: &str = concat!(
+    "name                     group     shards facts  title\n",
+    "table5_loc               paper          -   yes  Table 5 — lines of code: NTAPI vs generated P4 vs MoonGen Lua\n",
+    "fig09_throughput_single  paper          -     -  Fig. 9 — single-port throughput vs packet size\n",
+    "fig10_throughput_multi   paper          -     -  Fig. 10 — multi-port / multi-core throughput\n",
+    "fig11_ratectl_40g        paper          -   yes  Fig. 11 — rate-control accuracy at 40G vs MoonGen\n",
+    "fig12_ratectl_100g       paper          -   yes  Fig. 12 — rate-control accuracy at 100G\n",
+    "fig13_random_qq          paper          -   yes  Fig. 13 — Q-Q accuracy of data-plane random generation\n",
+    "fig14_accelerator        paper          -   yes  Fig. 14 — accelerator RTT and capacity\n",
+    "fig15_replicator         paper          -   yes  Fig. 15 — multicast engine delay\n",
+    "fig16_collection         paper          -     -  Fig. 16 — test-statistic collection\n",
+    "fig17_exact_match        paper         12     -  Fig. 17 — exact-key-matching entries vs #flows\n",
+    "table6_cost              paper          -     -  Table 6 — power and equipment cost per Tbps\n",
+    "table7_resources         paper          -   yes  Table 7 — data-plane resources per component\n",
+    "fig18_delay_case         paper          -   yes  Fig. 18 — delay-testing case study\n",
+    "table8_synflood          paper          -   yes  Table 8 — SYN flood attack emulation\n",
+    "ablation_accuracy        ablation       -     -  Ablation — counter-based engine + exact matching vs sketches\n",
+    "ablation_precision       ablation       -   yes  Ablation — rate-control precision vs accelerator occupancy\n",
+    "ablation_cuckoo          ablation       -     -  Ablation — cuckoo hashing vs single-hash residency\n",
+);
+
 #[test]
 fn bench_list_shows_analysis_facts_column() {
     let (stdout, _, ok) = htctl(&["bench", "--list"]);
     assert!(ok, "{stdout}");
-    assert!(stdout.contains("facts"), "{stdout}");
-    let loc = stdout.lines().find(|l| l.starts_with("table5_loc")).unwrap();
-    assert!(loc.contains("yes"), "{loc}");
-    let ratectl = stdout.lines().find(|l| l.starts_with("fig11_ratectl_40g")).unwrap();
-    assert!(ratectl.contains("yes"), "{ratectl}");
-    let cost = stdout.lines().find(|l| l.starts_with("table6_cost")).unwrap();
-    assert!(!cost.contains("yes"), "{cost}");
+    assert_eq!(stdout, BENCH_LIST);
+    // Smoke scale changes only Fig. 17's part count (4 instead of 12).
+    let (smoke, _, ok) = htctl(&["bench", "--list", "--smoke"]);
+    assert!(ok, "{smoke}");
+    assert_eq!(smoke, BENCH_LIST.replace("    12     -  Fig. 17", "     4     -  Fig. 17"));
 }
